@@ -1,6 +1,7 @@
-// Shared plumbing of the checker policies (engine/{cal,lin,interval}_policy).
+// Shared plumbing of the search policies (engine/{cal,lin,interval}_policy
+// and the explorer's ExplorePolicy in sched/explorer.cpp).
 //
-// Each checker policy is a template over `bool kShared`: the false
+// Each policy is a template over `bool kShared`: the false
 // instantiation is what the sequential driver runs (plain counters, the
 // node-based StepMemo), the true instantiation is safe to share across the
 // parallel driver's workers (relaxed atomic counters, the striped-lock
@@ -27,18 +28,49 @@ template <bool kShared, typename Outcome>
 using StepMemoFor =
     std::conditional_t<kShared, ShardedStepMemo<Outcome>, StepMemo<Outcome>>;
 
-/// A diagnostic counter matching the driver.
-template <bool kShared>
-using Counter =
-    std::conditional_t<kShared, std::atomic<std::size_t>, std::size_t>;
+/// A diagnostic counter (or high-water mark, or flag word) matching the
+/// driver.
+template <bool kShared, typename T = std::size_t>
+using Counter = std::conditional_t<kShared, std::atomic<T>, T>;
 
 inline void bump(std::size_t& c) noexcept { ++c; }
 inline void bump(std::atomic<std::size_t>& c) noexcept {
   c.fetch_add(1, std::memory_order_relaxed);
 }
 
-inline std::size_t read_counter(const std::size_t& c) noexcept { return c; }
-inline std::size_t read_counter(const std::atomic<std::size_t>& c) noexcept {
+/// Raises a high-water mark to `v`. The shared form writes only when `v`
+/// is larger, so workers re-offering a settled maximum share the line.
+template <typename T>
+void note_max(T& c, std::type_identity_t<T> v) noexcept {
+  if (v > c) c = v;
+}
+template <typename T>
+void note_max(std::atomic<T>& c, std::type_identity_t<T> v) noexcept {
+  T seen = c.load(std::memory_order_relaxed);
+  while (v > seen &&
+         !c.compare_exchange_weak(seen, v, std::memory_order_relaxed)) {
+  }
+}
+
+/// ORs `bits` into a flag word; the shared form writes only when a bit is
+/// new.
+template <typename T>
+void note_bits(T& c, std::type_identity_t<T> bits) noexcept {
+  c |= bits;
+}
+template <typename T>
+void note_bits(std::atomic<T>& c, std::type_identity_t<T> bits) noexcept {
+  if ((c.load(std::memory_order_relaxed) & bits) != bits) {
+    c.fetch_or(bits, std::memory_order_relaxed);
+  }
+}
+
+template <typename T>
+T read_counter(const T& c) noexcept {
+  return c;
+}
+template <typename T>
+T read_counter(const std::atomic<T>& c) noexcept {
   return c.load(std::memory_order_relaxed);
 }
 

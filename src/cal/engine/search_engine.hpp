@@ -230,9 +230,9 @@ class SequentialSearch {
 };
 
 /// Work-stealing parallel driver. The policy is shared by all workers, so
-/// its expand()/is_goal()/encode() must be thread-safe (checker policies
-/// achieve this with sharded step memos and atomic counters — see the
-/// kShared template parameter of the checker policies).
+/// its expand()/is_goal()/encode() must be thread-safe (the policies
+/// achieve this with sharded step memos and atomic counters — see their
+/// kShared template parameter).
 template <typename Policy>
 class ParallelSearch {
  public:

@@ -1,5 +1,6 @@
 #include "runtime/reclaim/tagged.hpp"
 
+#include <algorithm>
 #include <cassert>
 
 namespace cal::runtime {
@@ -8,7 +9,7 @@ TaggedReclaimer::~TaggedReclaimer() {
   // Type-stability ends with the reclaimer: drain every free bin.
   for (Bins& bins : bins_) {
     for (FreeBin& bin : bins.by_size) {
-      for (Word block : bin.blocks) delete_block(block);
+      for (const FreeBlock& free : bin.blocks) delete_block(free.block);
       bin.blocks.clear();
     }
   }
@@ -97,12 +98,14 @@ auto TaggedReclaimer::alloc(ThreadId t, Word cells) -> Word {
     if (bin.cells != cells || bin.blocks.empty()) continue;
     // FIFO reuse maximizes the window in which a stale reader can meet a
     // recycled block — the adversarial choice the mutants rely on.
-    const Word block = bin.blocks.front();
+    const FreeBlock free = bin.blocks.front();
     bin.blocks.erase(bin.blocks.begin());
-    bins.size.fetch_sub(1, std::memory_order_relaxed);
-    live_.fetch_sub(1, std::memory_order_relaxed);
-    reclaimed_.fetch_add(1, std::memory_order_relaxed);
-    auto* base = reinterpret_cast<std::atomic<Word>*>(block);
+    if (free.retired) {
+      bins.size.fetch_sub(1, std::memory_order_relaxed);
+      live_.fetch_sub(1, std::memory_order_relaxed);
+      reclaimed_.fetch_add(1, std::memory_order_relaxed);
+    }
+    auto* base = reinterpret_cast<std::atomic<Word>*>(free.block);
     for (Word i = 0; i < cells; ++i) {
       // Zero the value bits, keep the generation tag: the concept's
       // "fresh zeroed block" modulo the tag discipline documented above.
@@ -111,31 +114,38 @@ auto TaggedReclaimer::alloc(ThreadId t, Word cells) -> Word {
       base[i].store(static_cast<Word>(old & ~kValueMask),
                     std::memory_order_relaxed);
     }
-    return block;
+    return free.block;
   }
   return new_block(cells);
 }
 
-void TaggedReclaimer::dealloc(ThreadId t, Word block, Word cells) noexcept {
-  // Never published, but keep type-stability uniform: free-list it.
+void TaggedReclaimer::free_list(ThreadId t, Word block, Word cells,
+                                bool retired) {
   assert(t < kMaxThreads);
   Bins& bins = bins_[t];
-  for (FreeBin& bin : bins.by_size) {
-    if (bin.cells != cells) continue;
-    bin.blocks.push_back(block);
+  auto bin = std::find_if(
+      bins.by_size.begin(), bins.by_size.end(),
+      [cells](const FreeBin& b) { return b.cells == cells; });
+  if (bin == bins.by_size.end()) {
+    bin = bins.by_size.insert(bin, FreeBin{cells, {}});
+  }
+  bin->blocks.push_back(FreeBlock{block, retired});
+  if (retired) {
     bins.size.fetch_add(1, std::memory_order_relaxed);
     live_.fetch_add(1, std::memory_order_relaxed);
-    return;
   }
-  bins.by_size.push_back(FreeBin{cells, {block}});
-  bins.size.fetch_add(1, std::memory_order_relaxed);
-  live_.fetch_add(1, std::memory_order_relaxed);
+}
+
+void TaggedReclaimer::dealloc(ThreadId t, Word block, Word cells) noexcept {
+  // Never published, but keep type-stability uniform: free-list it. It was
+  // never retired, so it is neither pending nor, once reused, reclaimed.
+  free_list(t, block, cells, /*retired=*/false);
 }
 
 void TaggedReclaimer::retire(ThreadId t, Word block, Word cells) {
   // Immediate, type-stable reuse: the tag is the ABA defense, so there is
   // no deferral — this is the whole point of the backend.
-  dealloc(t, block, cells);
+  free_list(t, block, cells, /*retired=*/true);
   const std::size_t live = live_.load(std::memory_order_relaxed);
   std::size_t hw = high_water_.load(std::memory_order_relaxed);
   while (live > hw && !high_water_.compare_exchange_weak(

@@ -101,14 +101,23 @@ class TaggedReclaimer final : public Reclaimer {
     Record rec[kMaxRecords];
     std::size_t count = 0;  // owning thread only
   };
+  struct FreeBlock {
+    Word block = 0;
+    /// Came from retire(): counted as pending until reused, then as
+    /// reclaimed. dealloc()'s never-published blocks are not.
+    bool retired = false;
+  };
   struct FreeBin {
     Word cells = 0;
-    std::vector<Word> blocks;
+    std::vector<FreeBlock> blocks;
   };
   struct alignas(64) Bins {
     std::vector<FreeBin> by_size;  // owning thread only
     std::atomic<std::size_t> size{0};
   };
+
+  /// Appends `block` to thread `t`'s bin for `cells`-cell blocks.
+  void free_list(ThreadId t, Word block, Word cells, bool retired);
 
   [[nodiscard]] std::uint64_t bump_tag(std::uint64_t raw) const noexcept {
     const std::uint64_t tag = (raw >> kTagShift) & 0xFFFFull;

@@ -1,17 +1,18 @@
 #include "sched/explorer.hpp"
 
+#include <algorithm>
 #include <array>
 #include <atomic>
-#include <deque>
 #include <memory>
 #include <mutex>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
 #include "cal/engine/incremental.hpp"
+#include "cal/engine/policy_base.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/sharded_set.hpp"
 #include "cal/parallel/task_pool.hpp"
 
 namespace cal::sched {
@@ -104,8 +105,8 @@ void encode_world_key(const World& world, const WorldCanon* canon, bool por,
 /// the earlier expansion explored a superset of this node's successor
 /// closure. Re-visits under incomparable masks still re-expand, which is
 /// what keeps the reduction sound (DESIGN.md). Striped-lock sharded so the
-/// parallel walkers can share one instance; the sequential driver uses the
-/// same type with the locks uncontended.
+/// parallel driver's workers can share one instance; the sequential driver
+/// uses the same type with the locks uncontended.
 class SleepSubsumption {
  public:
   /// True iff `key` was already expanded with a recorded mask ⊆ `mask`.
@@ -135,14 +136,28 @@ class SleepSubsumption {
   std::array<Shard, kShards> shards_;
 };
 
-/// The sequential exploration as an engine policy: worlds are nodes,
-/// schedule steps are labels, terminal worlds are goals (collect-mode
-/// sinks). Per-step audits (transition guarantee, state invariant, choice
-/// protocol) run in expand() *before* a successor is emitted, so violating
-/// worlds never enter the search — exactly the pre-engine reached() order.
-/// The engine owns state merging, the max_states cap, depth, and the
-/// schedule prefix; this policy owns transitions/events accounting and
-/// violation recording.
+/// The exploration as an engine policy: worlds are nodes, schedule steps
+/// are labels, terminal worlds are goals (collect-mode sinks). Per-step
+/// audits (transition guarantee, state invariant, choice protocol) run in
+/// expand() *before* a successor is emitted, so violating worlds never
+/// enter the search. The engine owns state merging, the max_states cap,
+/// depth, and the schedule prefix; this policy owns transitions/events
+/// accounting and violation recording.
+///
+/// kShared = true is the instantiation the parallel driver shares across
+/// its workers: atomic counters, and a per-worker `renamed` flag between
+/// encode() and on_dedup(). Recorded violations sit behind a mutex in
+/// both instantiations.
+///
+/// First violation (stop_on_first_violation): the policy keeps the
+/// violation whose schedule sorts first in expansion order — thread index,
+/// then choice, flush steps after program steps — and prunes only the
+/// successors that sort after it. The sequential DFS visits schedules in
+/// exactly that order, so there everything after the first violation is
+/// pruned; parallel workers keep exploring the subtrees that could still
+/// hold an earlier one. Without state merging both drivers therefore
+/// report the same schedule.
+template <bool kShared>
 class ExplorePolicy {
  public:
   /// A node is a world plus its sleep set (empty when POR is off); the
@@ -171,6 +186,9 @@ class ExplorePolicy {
     if (por_ && options_.merge_states) {
       subsume_ = std::make_unique<SleepSubsumption>();
     }
+    for (std::size_t i = 0; i < config_.programs.size(); ++i) {
+      thread_index_[config_.programs[i].tid] = i;
+    }
   }
 
   std::vector<Node> roots() {
@@ -185,7 +203,7 @@ class ExplorePolicy {
     return node.world.all_done();
   }
 
-  void encode(const Node& node, engine::NodeKey& out) {
+  void encode(const Node& node, engine::NodeKey& out) const {
     encode_world_key(node.world, canon_, por_, sleep_mask_of(node.sleep),
                      out, last_renamed_);
   }
@@ -193,20 +211,19 @@ class ExplorePolicy {
   /// Engine dedup-hit hook: a hit whose key was produced by a non-identity
   /// renaming is a merge only the canonicalizer could have made.
   void on_dedup(const Node& /*node*/) {
-    if (last_renamed_) ++symmetry_merged_;
+    if (last_renamed_) engine::bump(symmetry_merged_);
   }
 
   void on_enter(const Node& node, std::size_t /*depth*/) {
-    events_ |= node.world.events();
-    const std::size_t buffered = node.world.memory().buffered_total();
-    if (buffered > buffered_max_) buffered_max_ = buffered;
-    const std::size_t recycled = node.world.recycled_allocs();
-    if (recycled > recycled_allocs_) recycled_allocs_ = recycled;
-    const std::size_t retired = node.world.retired().size();
-    if (retired > retired_max_) retired_max_ = retired;
+    engine::note_bits(events_, node.world.events());
+    engine::note_max(buffered_max_, node.world.memory().buffered_total());
+    engine::note_max(recycled_allocs_, node.world.recycled_allocs());
+    engine::note_max(retired_max_, node.world.retired().size());
   }
 
-  [[nodiscard]] bool cancelled() const noexcept { return done_; }
+  /// Violations prune by schedule order (after_kept), never the whole
+  /// search.
+  [[nodiscard]] bool cancelled() const noexcept { return false; }
 
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
@@ -216,16 +233,17 @@ class ExplorePolicy {
     // inherits every earlier pure sibling step it is independent of.
     SleepSet cur = node.sleep;
     for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (done_) return;
       const ThreadCtx& t = world.threads()[i];
+      // (tid, -1) sorts before every choice of this thread's step.
+      if (after_kept(prefix, ScheduleStep{t.tid, -1})) return;
       if (t.done(config_.programs[t.program].calls.size())) continue;
       if (por_ && is_sleeping(node.sleep, i)) {
-        ++por_pruned_;
+        engine::bump(por_pruned_);
         continue;
       }
       const Call& call = config_.programs[t.program].calls[t.call_idx];
       const SimObject& object = *objects_[call.object];
-      ++transitions_;
+      engine::bump(transitions_);
 
       World next = world;  // branch
       next.begin_step();
@@ -238,7 +256,9 @@ class ExplorePolicy {
         // if every branch is pure (a single emitting branch makes the
         // whole step order-sensitive).
         bool all_pure = true;
-        for (std::int32_t c = 0; c < sr.nchoices && !done_; ++c) {
+        for (std::int32_t c = 0; c < sr.nchoices; ++c) {
+          const ScheduleStep step{t.tid, c};
+          if (after_kept(prefix, step)) return;
           World branch = world;
           branch.begin_step();
           ThreadCtx& bt = branch.threads()[i];
@@ -253,8 +273,8 @@ class ExplorePolicy {
           const StepFootprint fp = branch.footprint();
           all_pure = all_pure && fp.pure();
           SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-          if (!offer(Node{std::move(branch), std::move(child)},
-                     ScheduleStep{t.tid, c}, prefix, emit)) {
+          if (!offer(Node{std::move(branch), std::move(child)}, step, prefix,
+                     emit)) {
             return;
           }
         }
@@ -280,45 +300,49 @@ class ExplorePolicy {
     // reduction, trivially sound (DESIGN.md, "The memory-model layer") —
     // but their store footprint does wake dependent sleepers in the child.
     for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (done_ || !world.flushable(i)) continue;
-      ++transitions_;
+      if (!world.flushable(i)) continue;
+      const ScheduleStep step{world.threads()[i].tid, -1, /*flush=*/true};
+      if (after_kept(prefix, step)) return;
+      engine::bump(transitions_);
       World next = world;
       next.begin_step();
       next.flush_one(i);
-      ++flush_steps_;
+      engine::bump(flush_steps_);
       audit_transition(world, next, next.threads()[i].tid);
       const StepFootprint fp = next.footprint();
       SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-      if (!offer(Node{std::move(next), std::move(child)},
-                 ScheduleStep{world.threads()[i].tid, -1, /*flush=*/true},
-                 prefix, emit)) {
+      if (!offer(Node{std::move(next), std::move(child)}, step, prefix,
+                 emit)) {
         return;
       }
     }
   }
 
   [[nodiscard]] std::size_t transitions() const noexcept {
-    return transitions_;
+    return engine::read_counter(transitions_);
   }
-  [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
+  [[nodiscard]] std::uint64_t events() const noexcept {
+    return engine::read_counter(events_);
+  }
   [[nodiscard]] std::size_t por_pruned() const noexcept {
-    return por_pruned_;
+    return engine::read_counter(por_pruned_);
   }
   [[nodiscard]] std::size_t symmetry_merged() const noexcept {
-    return symmetry_merged_;
+    return engine::read_counter(symmetry_merged_);
   }
   [[nodiscard]] std::size_t flush_steps() const noexcept {
-    return flush_steps_;
+    return engine::read_counter(flush_steps_);
   }
   [[nodiscard]] std::size_t buffered_max() const noexcept {
-    return buffered_max_;
+    return engine::read_counter(buffered_max_);
   }
   [[nodiscard]] std::size_t recycled_allocs() const noexcept {
-    return recycled_allocs_;
+    return engine::read_counter(recycled_allocs_);
   }
   [[nodiscard]] std::size_t retired_max() const noexcept {
-    return retired_max_;
+    return engine::read_counter(retired_max_);
   }
+  /// Call once the search has finished.
   [[nodiscard]] std::vector<ScheduleViolation>&& violations() noexcept {
     return std::move(violations_);
   }
@@ -331,12 +355,56 @@ class ExplorePolicy {
     }
   }
 
+  /// Expansion order of two steps taken from the same world: program
+  /// steps by thread index, then choice; flush steps after all of them.
+  [[nodiscard]] bool step_before(const ScheduleStep& a,
+                                 const ScheduleStep& b) const {
+    return std::tuple(a.flush, thread_index_.at(a.tid), a.choice) <
+           std::tuple(b.flush, thread_index_.at(b.tid), b.choice);
+  }
+
+  /// True iff `prefix` + `step` sorts after the kept violation's schedule.
+  /// Its whole subtree then does too, so it cannot hold a violation that
+  /// sorts first.
+  [[nodiscard]] bool after_kept(const std::vector<ScheduleStep>& prefix,
+                                const ScheduleStep& step) {
+    if (!kept_.load(std::memory_order_acquire)) return false;
+    std::lock_guard<std::mutex> lock(violations_mu_);
+    const std::vector<ScheduleStep>& kept = violations_.front().schedule;
+    for (std::size_t k = 0; k <= prefix.size(); ++k) {
+      if (k == kept.size()) return true;
+      const ScheduleStep& s = k < prefix.size() ? prefix[k] : step;
+      if (s != kept[k]) return step_before(kept[k], s);
+    }
+    return false;  // an ancestor of the kept violation
+  }
+
+  /// Records a violation; with stop_on_first_violation, keeps only the
+  /// one whose schedule sorts first.
+  void record(ScheduleViolation&& v) {
+    std::lock_guard<std::mutex> lock(violations_mu_);
+    if (!options_.stop_on_first_violation) {
+      violations_.push_back(std::move(v));
+      return;
+    }
+    if (!violations_.empty() &&
+        !std::ranges::lexicographical_compare(
+            v.schedule, violations_.front().schedule,
+            [this](const ScheduleStep& a, const ScheduleStep& b) {
+              return step_before(a, b);
+            })) {
+      return;
+    }
+    violations_.clear();
+    violations_.push_back(std::move(v));
+    kept_.store(true, std::memory_order_release);
+  }
+
   /// Audits a freshly stepped world and either records its violation or
   /// hands it to the driver; false stops this node's expansion.
   template <typename Emit>
   bool offer(Node&& node, ScheduleStep step,
              const std::vector<ScheduleStep>& prefix, Emit& emit) {
-    if (done_) return false;
     if (!node.world.violated() && auditor_ != nullptr) {
       if (auto why = auditor_->check_invariant(node.world)) {
         node.world.report_violation("invariant: " + *why);
@@ -345,10 +413,10 @@ class ExplorePolicy {
     if (node.world.violated()) {
       std::vector<ScheduleStep> schedule = prefix;
       schedule.push_back(step);
-      violations_.push_back(ScheduleViolation{
-          node.world.violation().value_or("unknown"), std::move(schedule)});
-      if (options_.stop_on_first_violation) done_ = true;
-      return !done_;
+      record(ScheduleViolation{node.world.violation().value_or("unknown"),
+                               std::move(schedule)});
+      // Every later sibling sorts after this violation.
+      return !options_.stop_on_first_violation;
     }
     // Sleep-mask subsumption happens at child-generation time so a covered
     // revisit never enters the engine (and is never counted as a state).
@@ -363,7 +431,7 @@ class ExplorePolicy {
       const auto mask = static_cast<std::uint64_t>(key.back());
       key.pop_back();
       if (subsume_->covered(key, mask)) {
-        ++por_pruned_;
+        engine::bump(por_pruned_);
         return true;
       }
     }
@@ -377,282 +445,24 @@ class ExplorePolicy {
   const WorldCanon* canon_;
   const bool por_;
   std::unique_ptr<SleepSubsumption> subsume_;
+  std::unordered_map<ThreadId, std::size_t> thread_index_;
 
-  std::size_t transitions_ = 0;
-  std::uint64_t events_ = 0;
-  std::size_t por_pruned_ = 0;
-  std::size_t symmetry_merged_ = 0;
-  std::size_t flush_steps_ = 0;
-  std::size_t buffered_max_ = 0;
-  std::size_t recycled_allocs_ = 0;
-  std::size_t retired_max_ = 0;
-  bool last_renamed_ = false;
+  engine::Counter<kShared> transitions_{0};
+  engine::Counter<kShared, std::uint64_t> events_{0};
+  engine::Counter<kShared> por_pruned_{0};
+  engine::Counter<kShared> symmetry_merged_{0};
+  engine::Counter<kShared> flush_steps_{0};
+  engine::Counter<kShared> buffered_max_{0};
+  engine::Counter<kShared> recycled_allocs_{0};
+  engine::Counter<kShared> retired_max_{0};
+  /// Set by encode() and read by on_dedup() right after it on the same
+  /// worker.
+  static inline thread_local bool last_renamed_ = false;
+
+  std::mutex violations_mu_;
   std::vector<ScheduleViolation> violations_;
-  bool done_ = false;
-};
-
-constexpr std::size_t kNoViolation = static_cast<std::size_t>(-1);
-
-/// State shared by every branch walker of one parallel exploration.
-struct SharedExplore {
-  par::ShardedStateSet visited;     ///< merge_states deduplication table
-  SleepSubsumption sleep_seen;      ///< POR sleep-mask subsumption table
-  std::atomic<std::size_t> states{0};  ///< global count, for max_states
-  std::atomic<bool> exhausted{false};
-  /// Smallest branch sequence number that found a violation; branches
-  /// with larger numbers cancel (stop_on_first_violation mode), smaller
-  /// ones run on so the final selection is deterministic.
-  std::atomic<std::size_t> first_violation{kNoViolation};
-
-  void note_violation(std::size_t branch_seq) {
-    std::size_t cur = first_violation.load(std::memory_order_relaxed);
-    while (branch_seq < cur &&
-           !first_violation.compare_exchange_weak(cur, branch_seq,
-                                                  std::memory_order_relaxed)) {
-    }
-  }
-};
-
-/// One branch of the parallel exploration: a sequential DFS over the
-/// subtree rooted at a breadth-first split node, mirroring the sequential
-/// Explorer step for step but routing state merging and the max_states cap
-/// through SharedExplore. Counters, violations, and collected terminals
-/// stay walker-local and are merged in branch order afterwards.
-class Walker {
- public:
-  Walker(const WorldConfig& config,
-         const std::vector<std::unique_ptr<SimObject>>& objects,
-         const ExploreOptions& options, const TransitionAuditor* auditor,
-         const WorldCanon* canon, bool por, SharedExplore& shared,
-         std::size_t branch_seq, std::vector<ScheduleStep> schedule)
-      : config_(config),
-        objects_(objects),
-        options_(options),
-        auditor_(auditor),
-        canon_(canon),
-        por_(por),
-        shared_(shared),
-        branch_seq_(branch_seq),
-        schedule_(std::move(schedule)) {}
-
-  void run(World world, std::size_t depth, SleepSet sleep) {
-    dfs(std::move(world), depth, std::move(sleep));
-  }
-
-  [[nodiscard]] ExploreResult& result() noexcept { return result_; }
-  [[nodiscard]] std::size_t branch_seq() const noexcept { return branch_seq_; }
-
- private:
-  [[nodiscard]] bool stopped() const {
-    if (done_ || shared_.exhausted.load(std::memory_order_relaxed)) {
-      return true;
-    }
-    return options_.stop_on_first_violation &&
-           shared_.first_violation.load(std::memory_order_relaxed) <
-               branch_seq_;
-  }
-
-  void record_violation(const World& world) {
-    result_.violations.push_back(
-        ScheduleViolation{world.violation().value_or("unknown"), schedule_});
-    if (options_.stop_on_first_violation) {
-      shared_.note_violation(branch_seq_);
-      done_ = true;
-    }
-  }
-
-  void reached(World&& world, std::size_t depth, SleepSet&& sleep) {
-    if (stopped()) return;
-    if (world.violated()) {
-      record_violation(world);
-      return;
-    }
-    if (auditor_ != nullptr) {
-      if (auto why = auditor_->check_invariant(world)) {
-        world.report_violation("invariant: " + *why);
-        record_violation(world);
-        return;
-      }
-    }
-    dfs(std::move(world), depth, std::move(sleep));
-  }
-
-  void dfs(World world, std::size_t depth, SleepSet sleep) {
-    if (stopped()) return;
-    if (depth > result_.max_depth) result_.max_depth = depth;
-    result_.events |= world.events();
-    const std::size_t buffered = world.memory().buffered_total();
-    if (buffered > result_.buffered_max) result_.buffered_max = buffered;
-    const std::size_t recycled = world.recycled_allocs();
-    if (recycled > result_.recycled_allocs) {
-      result_.recycled_allocs = recycled;
-    }
-    const std::size_t retired = world.retired().size();
-    if (retired > result_.retired_max) result_.retired_max = retired;
-
-    if (options_.max_states != 0 &&
-        shared_.states.load(std::memory_order_relaxed) >=
-            options_.max_states) {
-      result_.exhausted = true;
-      shared_.exhausted.store(true, std::memory_order_relaxed);
-      done_ = true;
-      return;
-    }
-    if (options_.merge_states) {
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(world, canon_, por_, sleep_mask_of(sleep), key,
-                       renamed);
-      if (!shared_.visited.insert(std::move(key))) {
-        ++result_.merged;
-        if (renamed) ++result_.symmetry_merged;
-        return;
-      }
-    }
-    // Subsumption runs before the node is counted: a covered revisit is a
-    // prune, not a state. Terminals always carry an empty sleep set (their
-    // final step is global), so the exact visited key above already dedups
-    // them and they stay out of the subsumption table.
-    if (por_ && options_.merge_states && !world.all_done() &&
-        subsumed(world, sleep_mask_of(sleep))) {
-      ++result_.por_pruned;
-      return;
-    }
-    shared_.states.fetch_add(1, std::memory_order_relaxed);
-    ++result_.states;
-
-    if (world.all_done()) {
-      ++result_.terminals;
-      if (options_.collect_terminals) {
-        auto key = encode_history(world.history());
-        if (seen_histories_.insert(std::move(key)).second) {
-          result_.histories.push_back(world.history());
-          result_.traces.push_back(world.trace());
-        }
-      }
-      return;
-    }
-
-    SleepSet cur = sleep;
-    for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      const ThreadCtx& t = world.threads()[i];
-      if (t.done(config_.programs[t.program].calls.size())) continue;
-      if (por_ && is_sleeping(sleep, i)) {
-        ++result_.por_pruned;
-        continue;
-      }
-      advance(world, i, depth, cur);
-      if (stopped()) return;
-    }
-    // TSO flush transitions (see ExplorePolicy::expand): never slept,
-    // never entering sleep sets, offered for completed threads too.
-    for (std::size_t i = 0; i < world.threads().size(); ++i) {
-      if (!world.flushable(i)) continue;
-      advance_flush(world, i, depth, cur);
-      if (stopped()) return;
-    }
-  }
-
-  /// Sleep-mask subsumption against the shared table (see the sequential
-  /// policy's offer() for the argument).
-  bool subsumed(const World& world, std::uint64_t mask) {
-    std::vector<std::int64_t> key;
-    bool renamed = false;
-    encode_world_key(world, canon_, /*por=*/true, mask, key, renamed);
-    const auto permuted = static_cast<std::uint64_t>(key.back());
-    key.pop_back();
-    return shared_.sleep_seen.covered(key, permuted);
-  }
-
-  void advance_flush(const World& world, std::size_t thread,
-                     std::size_t depth, SleepSet& cur) {
-    schedule_.push_back(
-        ScheduleStep{world.threads()[thread].tid, -1, /*flush=*/true});
-    ++result_.transitions;
-    World next = world;
-    next.begin_step();
-    next.flush_one(thread);
-    ++result_.flush_steps;
-    if (auditor_ != nullptr && !next.violated()) {
-      if (auto why = auditor_->check_transition(
-              world, next, next.threads()[thread].tid)) {
-        next.report_violation("guarantee: " + *why);
-      }
-    }
-    const StepFootprint fp = next.footprint();
-    SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-    reached(std::move(next), depth + 1, std::move(child));
-    schedule_.pop_back();
-  }
-
-  void advance(const World& world, std::size_t thread, std::size_t depth,
-               SleepSet& cur) {
-    const ThreadCtx& t = world.threads()[thread];
-    const Call& call = config_.programs[t.program].calls[t.call_idx];
-    const SimObject& object = *objects_[call.object];
-
-    schedule_.push_back(ScheduleStep{t.tid, -1});
-    ++result_.transitions;
-
-    World next = world;  // branch
-    next.begin_step();
-    ThreadCtx& nt = next.threads()[thread];
-    StepResult sr = object.step(next, nt);
-
-    if (sr.kind == StepResult::Kind::kChoice) {
-      bool all_pure = true;
-      for (std::int32_t c = 0; c < sr.nchoices && !stopped(); ++c) {
-        schedule_.back().choice = c;
-        World branch = world;
-        branch.begin_step();
-        ThreadCtx& bt = branch.threads()[thread];
-        bt.choice = c;
-        StepResult inner = object.step(branch, bt);
-        bt.choice = -1;
-        if (inner.kind == StepResult::Kind::kChoice) {
-          branch.report_violation("machine asked for a choice twice in a row");
-        }
-        if (auditor_ != nullptr && !branch.violated()) {
-          if (auto why = auditor_->check_transition(world, branch, bt.tid)) {
-            branch.report_violation("guarantee: " + *why);
-          }
-        }
-        const StepFootprint fp = branch.footprint();
-        all_pure = all_pure && fp.pure();
-        SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-        reached(std::move(branch), depth + 1, std::move(child));
-      }
-      if (por_ && all_pure) {
-        cur.push_back(SleepEntry{
-            thread, StepFootprint{StepFootprint::Kind::kLocal, kNull, false}});
-      }
-    } else {
-      if (auditor_ != nullptr && !next.violated()) {
-        if (auto why = auditor_->check_transition(world, next, nt.tid)) {
-          next.report_violation("guarantee: " + *why);
-        }
-      }
-      const StepFootprint fp = next.footprint();
-      SleepSet child = por_ ? inherit_sleep(cur, fp) : SleepSet{};
-      reached(std::move(next), depth + 1, std::move(child));
-      if (por_ && fp.pure()) cur.push_back(SleepEntry{thread, fp});
-    }
-
-    schedule_.pop_back();
-  }
-
-  const WorldConfig& config_;
-  const std::vector<std::unique_ptr<SimObject>>& objects_;
-  const ExploreOptions& options_;
-  const TransitionAuditor* auditor_;
-  const WorldCanon* canon_;
-  const bool por_;
-  SharedExplore& shared_;
-  const std::size_t branch_seq_;
-  std::vector<ScheduleStep> schedule_;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories_;
-  ExploreResult result_;
-  bool done_ = false;
+  /// violations_ holds the kept first violation (stop_on_first_violation).
+  std::atomic<bool> kept_{false};
 };
 
 }  // namespace
@@ -674,13 +484,13 @@ Explorer::Explorer(const WorldConfig& config,
 
 ExploreResult Explorer::run() {
   const std::size_t threads = par::resolve_threads(options_.threads);
-  ExploreResult result =
-      threads > 1 ? run_parallel(threads) : run_sequential();
+  ExploreResult result = threads > 1 ? walk<true>(threads) : walk<false>(1);
   check_collected(result);
   return result;
 }
 
-ExploreResult Explorer::run_sequential() {
+template <bool kShared>
+ExploreResult Explorer::walk(std::size_t threads) {
   // Both reductions are gated off while an auditor is attached: the
   // auditor's per-transition and per-state checks must observe every
   // transition, including the ones a reduction would skip (DESIGN.md).
@@ -695,26 +505,35 @@ ExploreResult Explorer::run_sequential() {
     if (canon_storage->active()) canon = canon_storage.get();
   }
 
+  using Policy = ExplorePolicy<kShared>;
   ExploreResult result;
-  ExplorePolicy policy(config_, objects_, options_, auditor_, canon, por);
+  Policy policy(config_, objects_, options_, auditor_, canon, por);
 
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_states;
   sopts.exact_visited = true;  // state merging must be sound, not probable
   sopts.dedup = options_.merge_states;
 
+  // The parallel driver calls the sink under its result lock.
   std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories;
-  engine::SequentialSearch<ExplorePolicy> search(policy, sopts);
-  engine::SearchStats stats = search.run_collect(
-      [&](const ExplorePolicy::Node& node, const std::vector<ScheduleStep>&) {
-        ++result.terminals;
-        if (!options_.collect_terminals) return;
-        auto key = encode_history(node.world.history());
-        if (seen_histories.insert(std::move(key)).second) {
-          result.histories.push_back(node.world.history());
-          result.traces.push_back(node.world.trace());
-        }
-      });
+  auto sink = [&](const typename Policy::Node& node,
+                  const std::vector<ScheduleStep>&) {
+    ++result.terminals;
+    if (!options_.collect_terminals) return;
+    auto key = encode_history(node.world.history());
+    if (seen_histories.insert(std::move(key)).second) {
+      result.histories.push_back(node.world.history());
+      result.traces.push_back(node.world.trace());
+    }
+  };
+  engine::SearchStats stats;
+  if constexpr (kShared) {
+    engine::ParallelSearch<Policy> search(policy, sopts, threads);
+    stats = search.run_collect(sink);
+  } else {
+    engine::SequentialSearch<Policy> search(policy, sopts);
+    stats = search.run_collect(sink);
+  }
 
   result.states = stats.visited_states;
   result.transitions = policy.transitions();
@@ -747,284 +566,6 @@ void Explorer::check_collected(ExploreResult& result) const {
           "history " + std::to_string(i) + ": " + checker.status().reason);
     }
   }
-}
-
-ExploreResult Explorer::run_parallel(std::size_t threads) {
-  // Phase 1 — breadth-first root split (sequential, deterministic): grow a
-  // frontier of independent subtree roots, one per thread/choice prefix,
-  // until there is enough work to saturate the pool. Every node popped
-  // here goes through exactly the checks the sequential dfs() would apply;
-  // its children go through the advance()/reached() checks. `seq` numbers
-  // record the breadth-first order — they are the tie-breaker that makes
-  // the reported first violation deterministic.
-  struct Node {
-    World world;
-    std::vector<ScheduleStep> schedule;
-    std::size_t depth = 0;
-    SleepSet sleep;
-  };
-
-  const bool por = options_.por && auditor_ == nullptr &&
-                   config_.programs.size() <= 64;
-  std::unique_ptr<WorldCanon> canon_storage;
-  const WorldCanon* canon = nullptr;
-  if (options_.symmetry && auditor_ == nullptr) {
-    canon_storage = std::make_unique<WorldCanon>(config_);
-    if (canon_storage->active()) canon = canon_storage.get();
-  }
-
-  SharedExplore shared;
-  ExploreResult total;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> merged_seen;
-  std::deque<Node> frontier;
-  bool stop_all = false;
-
-  {
-    World initial(config_);
-    for (auto& obj : objects_) obj->init(initial);
-    frontier.push_back(Node{std::move(initial), {}, 0, {}});
-  }
-
-  const std::size_t split_target = threads * 4;
-  constexpr std::size_t kMaxSplitDepth = 8;
-
-  while (!frontier.empty() && !stop_all && frontier.size() < split_target &&
-         frontier.front().depth < kMaxSplitDepth) {
-    Node node = std::move(frontier.front());
-    frontier.pop_front();
-
-    // dfs()-entry checks.
-    if (node.depth > total.max_depth) total.max_depth = node.depth;
-    total.events |= node.world.events();
-    const std::size_t buffered = node.world.memory().buffered_total();
-    if (buffered > total.buffered_max) total.buffered_max = buffered;
-    const std::size_t recycled = node.world.recycled_allocs();
-    if (recycled > total.recycled_allocs) total.recycled_allocs = recycled;
-    const std::size_t retired = node.world.retired().size();
-    if (retired > total.retired_max) total.retired_max = retired;
-    if (options_.max_states != 0 &&
-        shared.states.load(std::memory_order_relaxed) >= options_.max_states) {
-      total.exhausted = true;
-      stop_all = true;
-      break;
-    }
-    if (options_.merge_states) {
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(node.world, canon, por, sleep_mask_of(node.sleep),
-                       key, renamed);
-      if (!shared.visited.insert(std::move(key))) {
-        ++total.merged;
-        if (renamed) ++total.symmetry_merged;
-        continue;
-      }
-    }
-    if (por && options_.merge_states && !node.world.all_done()) {
-      // Sleep-mask subsumption, against the same table the walkers share.
-      // Runs before the state count so a covered revisit is a prune, not a
-      // state (terminals are exempt; see Walker::dfs).
-      std::vector<std::int64_t> key;
-      bool renamed = false;
-      encode_world_key(node.world, canon, /*por=*/true,
-                       sleep_mask_of(node.sleep), key, renamed);
-      const auto permuted = static_cast<std::uint64_t>(key.back());
-      key.pop_back();
-      if (shared.sleep_seen.covered(key, permuted)) {
-        ++total.por_pruned;
-        continue;
-      }
-    }
-    shared.states.fetch_add(1, std::memory_order_relaxed);
-    ++total.states;
-    if (node.world.all_done()) {
-      ++total.terminals;
-      if (options_.collect_terminals) {
-        auto key = encode_history(node.world.history());
-        if (merged_seen.insert(std::move(key)).second) {
-          total.histories.push_back(node.world.history());
-          total.traces.push_back(node.world.trace());
-        }
-      }
-      continue;
-    }
-
-    // advance()/reached() on every runnable thread.
-    auto emit = [&](World&& w, std::vector<ScheduleStep>&& sched,
-                    SleepSet&& child_sleep) {
-      if (!w.violated() && auditor_ != nullptr) {
-        if (auto why = auditor_->check_invariant(w)) {
-          w.report_violation("invariant: " + *why);
-        }
-      }
-      if (w.violated()) {
-        total.violations.push_back(
-            ScheduleViolation{w.violation().value_or("unknown"), sched});
-        if (options_.stop_on_first_violation) stop_all = true;
-        return;
-      }
-      frontier.push_back(Node{std::move(w), std::move(sched), node.depth + 1,
-                              std::move(child_sleep)});
-    };
-
-    SleepSet cur = node.sleep;
-    for (std::size_t i = 0; i < node.world.threads().size() && !stop_all;
-         ++i) {
-      const ThreadCtx& t = node.world.threads()[i];
-      if (t.done(config_.programs[t.program].calls.size())) continue;
-      if (por && is_sleeping(node.sleep, i)) {
-        ++total.por_pruned;
-        continue;
-      }
-      const Call& call = config_.programs[t.program].calls[t.call_idx];
-      const SimObject& object = *objects_[call.object];
-      ++total.transitions;
-
-      World next = node.world;
-      next.begin_step();
-      ThreadCtx& nt = next.threads()[i];
-      StepResult sr = object.step(next, nt);
-
-      if (sr.kind == StepResult::Kind::kChoice) {
-        bool all_pure = true;
-        for (std::int32_t c = 0; c < sr.nchoices && !stop_all; ++c) {
-          World branch = node.world;
-          branch.begin_step();
-          ThreadCtx& bt = branch.threads()[i];
-          bt.choice = c;
-          StepResult inner = object.step(branch, bt);
-          bt.choice = -1;
-          if (inner.kind == StepResult::Kind::kChoice) {
-            branch.report_violation(
-                "machine asked for a choice twice in a row");
-          }
-          if (auditor_ != nullptr && !branch.violated()) {
-            if (auto why =
-                    auditor_->check_transition(node.world, branch, bt.tid)) {
-              branch.report_violation("guarantee: " + *why);
-            }
-          }
-          const StepFootprint fp = branch.footprint();
-          all_pure = all_pure && fp.pure();
-          std::vector<ScheduleStep> sched = node.schedule;
-          sched.push_back(ScheduleStep{t.tid, c});
-          emit(std::move(branch), std::move(sched),
-               por ? inherit_sleep(cur, fp) : SleepSet{});
-        }
-        if (por && all_pure) {
-          cur.push_back(SleepEntry{
-              i, StepFootprint{StepFootprint::Kind::kLocal, kNull, false}});
-        }
-      } else {
-        if (auditor_ != nullptr && !next.violated()) {
-          if (auto why = auditor_->check_transition(node.world, next,
-                                                    nt.tid)) {
-            next.report_violation("guarantee: " + *why);
-          }
-        }
-        const StepFootprint fp = next.footprint();
-        std::vector<ScheduleStep> sched = node.schedule;
-        sched.push_back(ScheduleStep{t.tid, -1});
-        emit(std::move(next), std::move(sched),
-             por ? inherit_sleep(cur, fp) : SleepSet{});
-        if (por && fp.pure()) cur.push_back(SleepEntry{i, fp});
-      }
-    }
-
-    // TSO flush transitions (see ExplorePolicy::expand).
-    for (std::size_t i = 0; i < node.world.threads().size() && !stop_all;
-         ++i) {
-      if (!node.world.flushable(i)) continue;
-      ++total.transitions;
-      World next = node.world;
-      next.begin_step();
-      next.flush_one(i);
-      ++total.flush_steps;
-      if (auditor_ != nullptr && !next.violated()) {
-        if (auto why = auditor_->check_transition(
-                node.world, next, next.threads()[i].tid)) {
-          next.report_violation("guarantee: " + *why);
-        }
-      }
-      const StepFootprint fp = next.footprint();
-      std::vector<ScheduleStep> sched = node.schedule;
-      sched.push_back(
-          ScheduleStep{node.world.threads()[i].tid, -1, /*flush=*/true});
-      emit(std::move(next), std::move(sched),
-           por ? inherit_sleep(cur, fp) : SleepSet{});
-    }
-  }
-
-  // Phase 2 — branch walkers on the pool. Branch sequence numbers follow
-  // the frontier (= breadth-first) order.
-  if (!stop_all && !frontier.empty()) {
-    std::vector<std::unique_ptr<Walker>> walkers;
-    walkers.reserve(frontier.size());
-    for (std::size_t i = 0; i < frontier.size(); ++i) {
-      walkers.push_back(std::make_unique<Walker>(
-          config_, objects_, options_, auditor_, canon, por, shared, i,
-          std::move(frontier[i].schedule)));
-    }
-    {
-      par::TaskPool pool(threads);
-      for (std::size_t i = 0; i < walkers.size(); ++i) {
-        pool.submit([w = walkers[i].get(), world = std::move(frontier[i].world),
-                     depth = frontier[i].depth,
-                     sleep = std::move(frontier[i].sleep)]() mutable {
-          w->run(std::move(world), depth, std::move(sleep));
-        });
-      }
-      pool.wait_idle();
-    }
-
-    // Phase 3 — deterministic merge, in branch order.
-    for (const auto& w : walkers) {
-      const ExploreResult& r = w->result();
-      total.states += r.states;
-      total.transitions += r.transitions;
-      total.merged += r.merged;
-      total.por_pruned += r.por_pruned;
-      total.symmetry_merged += r.symmetry_merged;
-      total.flush_steps += r.flush_steps;
-      if (r.buffered_max > total.buffered_max) {
-        total.buffered_max = r.buffered_max;
-      }
-      if (r.recycled_allocs > total.recycled_allocs) {
-        total.recycled_allocs = r.recycled_allocs;
-      }
-      if (r.retired_max > total.retired_max) {
-        total.retired_max = r.retired_max;
-      }
-      total.terminals += r.terminals;
-      if (r.max_depth > total.max_depth) total.max_depth = r.max_depth;
-      total.events |= r.events;
-      total.exhausted = total.exhausted || r.exhausted;
-      for (std::size_t i = 0; i < r.histories.size(); ++i) {
-        if (merged_seen.insert(encode_history(r.histories[i])).second) {
-          total.histories.push_back(r.histories[i]);
-          total.traces.push_back(r.traces[i]);
-        }
-      }
-    }
-    if (options_.stop_on_first_violation) {
-      // The earliest branch that found one wins (phase-1 violations, if
-      // any, stopped the split before walkers launched).
-      if (total.violations.empty()) {
-        for (const auto& w : walkers) {
-          if (!w->result().violations.empty()) {
-            total.violations.push_back(w->result().violations.front());
-            break;
-          }
-        }
-      }
-    } else {
-      for (const auto& w : walkers) {
-        for (const ScheduleViolation& v : w->result().violations) {
-          total.violations.push_back(v);
-        }
-      }
-    }
-  }
-  return total;
 }
 
 std::string ScheduleViolation::to_string() const {

@@ -17,13 +17,13 @@
 // every reached state; the rely/guarantee audit of Fig. 4 (sched/rg.hpp) is
 // implemented as one.
 //
-// The sequential walk runs on the shared search engine
-// (cal/engine/search_engine.hpp) in collect mode: worlds are nodes,
-// schedule steps are labels, terminal states are goals. The parallel walk
-// keeps its bespoke deterministic breadth-first split + Walker pool. With
-// `check_spec` set, every collected terminal history is additionally
-// checked for CAL membership by the streaming checker
-// (cal/engine/incremental.hpp) as a post-pass shared by both drivers.
+// The walk is one engine policy (ExplorePolicy in explorer.cpp) run by the
+// shared search engine (cal/engine/search_engine.hpp) in collect mode:
+// worlds are nodes, schedule steps are labels, terminal states are goals.
+// One thread runs it on the sequential driver, more threads on the
+// engine's work-stealing ParallelSearch. With `check_spec` set, every
+// collected terminal history is additionally checked for CAL membership by
+// the streaming checker (cal/engine/incremental.hpp) as a post-pass.
 #pragma once
 
 #include <memory>
@@ -59,15 +59,16 @@ struct ExploreOptions {
   bool collect_terminals = false;
   /// Worker threads (1 = the sequential engine, bit-for-bit the historical
   /// behavior; 0 = one per hardware thread). With more than one thread the
-  /// root of the schedule tree is split breadth-first into branches —
-  /// one per thread/choice prefix — that explore in work-stealing pool
-  /// tasks sharing the state-merging table. Verdicts (and, absent
+  /// same walk runs on the engine's work-stealing parallel driver, whose
+  /// workers share the state-merging table. Verdicts (and, absent
   /// violations and caps, the states/transitions/terminals counters) are
-  /// identical to the sequential engine. The reported first violation is
-  /// chosen deterministically — the violation of the earliest branch in
-  /// the breadth-first split order — so replays stay stable; under
-  /// merge_states the winning *schedule* can still differ from the
-  /// sequential engine's (it is always a real, replayable counterexample).
+  /// identical to the sequential engine. The reported violation is the one
+  /// found whose schedule sorts first in expansion order (thread index,
+  /// then choice, flush steps last); with merge_states off that is exactly
+  /// the sequential engine's. Under merge_states the schedule can differ
+  /// from run to run (it is always a real, replayable counterexample). The
+  /// order of collected histories, and of violations when
+  /// stop_on_first_violation is off, is unspecified.
   std::size_t threads = 1;
   /// When set (together with collect_terminals), every collected terminal
   /// history is checked for CAL membership against this spec with the
@@ -179,12 +180,10 @@ class Explorer {
                              bool record = true);
 
  private:
-  /// The sequential walk: the engine collect driver over ExplorePolicy
-  /// (explorer.cpp).
-  [[nodiscard]] ExploreResult run_sequential();
-  /// The multi-threaded engine behind ExploreOptions::threads > 1
-  /// (explorer.cpp: breadth-first root split + Walker pool tasks).
-  [[nodiscard]] ExploreResult run_parallel(std::size_t threads);
+  /// The walk: the engine collect driver over ExplorePolicy<kShared>
+  /// (explorer.cpp) — sequential, or parallel on `threads` workers.
+  template <bool kShared>
+  [[nodiscard]] ExploreResult walk(std::size_t threads);
   /// The check_spec post-pass over collected terminal histories.
   void check_collected(ExploreResult& result) const;
 

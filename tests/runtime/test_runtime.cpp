@@ -1,4 +1,5 @@
-// Runtime substrate tests: thread registry, recorder, trace log, EBR.
+// Runtime substrate tests: thread registry, recorder, trace log, EBR, and
+// the tagged reclaimer's ledger.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -6,6 +7,7 @@
 #include <vector>
 
 #include "runtime/reclaim/ebr.hpp"
+#include "runtime/reclaim/tagged.hpp"
 #include "runtime/recorder.hpp"
 #include "runtime/thread_registry.hpp"
 #include "runtime/trace_log.hpp"
@@ -374,6 +376,35 @@ TEST(Ebr, ThreadChurnReusedSlotsStayCoherent) {
   // the domain collects, proving no departed generation wedged the epoch.
   for (int i = 0; i < 4; ++i) ebr.collect(writer_id);
   EXPECT_EQ(ebr.retired_count(), 0u);
+}
+
+// A block freed with dealloc() was never published (a push that lost its
+// single CAS attempt), so it is neither a pending retirement nor, once the
+// allocator hands it out again, a reclamation. Only retired blocks move
+// the ledger.
+TEST(TaggedReclaimer, DeallocatedBlockStaysOutOfTheLedger) {
+  TaggedReclaimer rec;
+  const Reclaimer::Word block = rec.alloc(0, 2);
+  rec.dealloc(0, block, 2);
+  ReclaimStats s = rec.stats();
+  EXPECT_EQ(s.retired_pending, 0u);
+  EXPECT_EQ(s.reclaimed_total, 0u);
+
+  ASSERT_EQ(rec.alloc(0, 2), block);  // FIFO reuse of the freed block
+  s = rec.stats();
+  EXPECT_EQ(s.retired_pending, 0u);
+  EXPECT_EQ(s.reclaimed_total, 0u);
+  EXPECT_EQ(s.retired_high_water, 0u);
+
+  rec.retire(0, block, 2);
+  s = rec.stats();
+  EXPECT_EQ(s.retired_pending, 1u);
+  EXPECT_EQ(s.retired_high_water, 1u);
+  ASSERT_EQ(rec.alloc(0, 2), block);
+  s = rec.stats();
+  EXPECT_EQ(s.retired_pending, 0u);
+  EXPECT_EQ(s.reclaimed_total, 1u);
+  rec.dealloc(0, block, 2);  // the destructor frees the bins
 }
 
 }  // namespace

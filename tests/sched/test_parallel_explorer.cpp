@@ -1,16 +1,21 @@
 // Parallel-vs-sequential equivalence for the schedule explorer: identical
-// verdicts at threads ∈ {1, 2, 8} on the exchanger and elimination-stack
-// model-checking workloads, equal state/terminal/transition counts on
-// clean explorations, deterministic first-violation selection, and
-// identical terminal-history sets in enumerating mode.
+// verdicts at threads ∈ {1, 2, 8} on the exchanger, MS-queue (TSO) and
+// recycling central-stack model-checking workloads, equal
+// state/terminal/transition counts on clean explorations, the sequential
+// first violation reported by the parallel driver, and identical
+// terminal-history sets in enumerating mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "cal/cal_checker.hpp"
 #include "cal/specs/exchanger_spec.hpp"
+#include "cal/specs/queue_spec.hpp"
+#include "cal/specs/stack_spec.hpp"
 #include "sched/explorer.hpp"
 #include "sched/sim_objects.hpp"
 #include "sched/rg.hpp"
@@ -66,18 +71,77 @@ ExploreResult explore(std::size_t pool_threads, std::size_t n_threads,
   return ex.run();
 }
 
+/// Explores `cfg`'s programs on one object under `spec` at `pool` workers.
+ExploreResult explore_object(std::size_t pool,
+                             std::unique_ptr<SimObject> object,
+                             const CaSpec& spec, WorldConfig cfg) {
+  cfg.spec = &spec;
+  cfg.record_trace = true;
+  cfg.heap_cells = 16;
+  cfg.global_cells = 8;
+  std::vector<std::unique_ptr<SimObject>> objects;
+  objects.push_back(std::move(object));
+  ExploreOptions opts;
+  opts.threads = pool;
+  Explorer ex(cfg, std::move(objects), opts);
+  return ex.run();
+}
+
+/// The MS queue under TSO: an enqueue-then-dequeue thread racing a
+/// dequeuer.
+ExploreResult explore_ms_queue_tso(std::size_t pool) {
+  const SeqAsCaSpec spec(std::make_shared<QueueSpec>(Symbol{"Q"}));
+  WorldConfig cfg;
+  cfg.programs = {ThreadProgram{0, {Call{0, Symbol{"enq"}, iv(1)},
+                                    Call{0, Symbol{"deq"}, Value::unit()}}},
+                  ThreadProgram{1, {Call{0, Symbol{"deq"}, Value::unit()}}}};
+  cfg.object_names = {Symbol{"Q"}};
+  cfg.memory_model = MemoryModel::kTso;
+  return explore_object(pool, std::make_unique<SimMsQueue>(Symbol{"Q"}), spec,
+                        cfg);
+}
+
+/// The central stack with address reuse under hazard pointers: a popped
+/// block can come back for the other thread's push.
+ExploreResult explore_recycling_stack(std::size_t pool) {
+  const SeqAsCaSpec spec(std::make_shared<CentralStackSpec>(Symbol{"S"}));
+  WorldConfig cfg;
+  cfg.programs = {ThreadProgram{0, {Call{0, Symbol{"push"}, iv(1)},
+                                    Call{0, Symbol{"pop"}, Value::unit()}}},
+                  ThreadProgram{1, {Call{0, Symbol{"pop"}, Value::unit()},
+                                    Call{0, Symbol{"push"}, iv(2)}}}};
+  cfg.object_names = {Symbol{"S"}};
+  cfg.recycle_addresses = true;
+  cfg.reclaim_policy = runtime::ReclaimPolicy::kHp;
+  return explore_object(pool, std::make_unique<SimCentralStack>(Symbol{"S"}),
+                        spec, cfg);
+}
+
 TEST(ParallelExplorerEquivalence, CleanExplorationCountersMatch) {
   // No violations, no caps, merging on: every engine must visit exactly
   // the same reachable state set, so the counters agree exactly.
-  const ExploreResult seq = explore(1, 3, 1);
-  for (std::size_t pool : {std::size_t{2}, std::size_t{8}}) {
-    const ExploreResult par = explore(pool, 3, 1);
-    EXPECT_EQ(seq.ok(), par.ok()) << "pool=" << pool;
-    EXPECT_TRUE(par.ok());
-    EXPECT_EQ(seq.states, par.states) << "pool=" << pool;
-    EXPECT_EQ(seq.terminals, par.terminals) << "pool=" << pool;
-    EXPECT_EQ(seq.transitions, par.transitions) << "pool=" << pool;
-    EXPECT_EQ(seq.events, par.events) << "pool=" << pool;
+  const std::vector<
+      std::pair<const char*, std::function<ExploreResult(std::size_t)>>>
+      configs = {
+          {"exchanger 3x1",
+           [](std::size_t pool) { return explore(pool, 3, 1); }},
+          {"ms-queue tso", explore_ms_queue_tso},
+          {"central stack, hp recycling", explore_recycling_stack},
+      };
+  for (const auto& [name, run] : configs) {
+    const ExploreResult seq = run(1);
+    for (std::size_t pool : {std::size_t{2}, std::size_t{8}}) {
+      SCOPED_TRACE(std::string(name) + " pool=" + std::to_string(pool));
+      const ExploreResult par = run(pool);
+      EXPECT_EQ(seq.ok(), par.ok());
+      EXPECT_TRUE(par.ok());
+      EXPECT_EQ(seq.states, par.states);
+      EXPECT_EQ(seq.terminals, par.terminals);
+      EXPECT_EQ(seq.transitions, par.transitions);
+      EXPECT_EQ(seq.events, par.events);
+      EXPECT_EQ(seq.flush_steps, par.flush_steps);
+      EXPECT_EQ(seq.recycled_allocs, par.recycled_allocs);
+    }
   }
 }
 
@@ -95,7 +159,7 @@ TEST(ParallelExplorerEquivalence, NoMergeCountersMatch) {
 }
 
 TEST(ParallelExplorerEquivalence, RgAuditedExplorationStaysClean) {
-  // The full Fig. 4 rely/guarantee audit runs inside every walker; the
+  // The full Fig. 4 rely/guarantee audit runs on every worker; the
   // verified exchanger must stay violation-free at every thread count.
   for (std::size_t pool :
        {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
@@ -168,6 +232,36 @@ TEST(ParallelExplorerViolations, FirstViolationIsDeterministicAndReplayable) {
   }
 }
 
+TEST(ParallelExplorerViolations, FirstViolationMatchesSequential) {
+  // Without merging both drivers keep the violation whose schedule sorts
+  // first in expansion order, so the parallel report is the sequential one.
+  ExploreOptions opts;
+  opts.merge_states = false;
+  auto first_violation = [&](std::size_t pool, std::size_t n_threads,
+                             std::size_t ops) {
+    ExchangerWorld w = make_exchanger_world(n_threads, ops);
+    opts.threads = pool;
+    TerminalFlagAuditor auditor;
+    Explorer ex(w.config, std::move(w.objects), opts);
+    ex.set_auditor(&auditor);
+    ExploreResult r = ex.run();
+    EXPECT_EQ(r.violations.size(), 1u);
+    return r.violations.empty() ? std::string()
+                                : r.violations.front().to_string();
+  };
+  for (const auto& [n_threads, ops] :
+       {std::pair<std::size_t, std::size_t>{2, 1}, {2, 2}, {3, 1}}) {
+    const std::string seq = first_violation(1, n_threads, ops);
+    ASSERT_FALSE(seq.empty());
+    for (std::size_t pool : {std::size_t{2}, std::size_t{8}}) {
+      for (int run = 0; run < 10; ++run) {
+        EXPECT_EQ(seq, first_violation(pool, n_threads, ops))
+            << n_threads << "x" << ops << " pool=" << pool << " run " << run;
+      }
+    }
+  }
+}
+
 TEST(ParallelExplorerViolations, AllViolationsModeFindsEveryTerminal) {
   ExploreOptions opts;
   opts.merge_states = false;
@@ -198,7 +292,7 @@ TEST(ParallelExplorerViolations, MaxStatesCapTripsExhausted) {
 
 TEST(ParallelExplorerStress, RepeatedRunsStayConsistent) {
   // Back-to-back full-pool explorations of the 3-thread configuration:
-  // shared visited-set contention plus walker cancellation paths.
+  // shared visited-set contention plus worker cancellation paths.
   const ExploreResult seq = explore(1, 3, 1);
   for (int round = 0; round < 4; ++round) {
     const ExploreResult par = explore(8, 3, 1);

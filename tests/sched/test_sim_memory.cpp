@@ -433,8 +433,8 @@ TEST(StoreBufferingLitmus, FlushTransitionsDrainEveryTerminal) {
 }
 
 // The parallel driver explores the same TSO machine: same verdict as the
-// sequential one on the rejecting litmus, via the phase-1 split and
-// walker flush paths.
+// sequential one on the rejecting litmus, with flush steps expanded on
+// pool workers.
 TEST(StoreBufferingLitmus, ParallelDriverRejectsUnderTso) {
   auto seq = std::make_shared<SbSpec>(Symbol{"L"});
   SeqAsCaSpec spec(seq);

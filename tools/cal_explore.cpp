@@ -319,6 +319,20 @@ int main(int argc, char** argv) {
   bool recycle = false;
   auto policy = runtime::ReclaimPolicy::kEbr;
   unsigned tag_bits = 16;
+  std::string bad_count_flag;  // name of the flag with a bad count value
+  // Plain digits up to 4096, as cal_check takes counts: atol would read
+  // "x" as 0, which means all cores for --jobs and the tag-truncation
+  // mutant for --tag-bits.
+  auto parse_count = [&](const char* flag, const char* s) -> std::size_t {
+    const std::string v = s;
+    if (v.empty() || v.size() > 9 ||
+        v.find_first_not_of("0123456789") != std::string::npos ||
+        std::stoul(v) > 4096) {
+      bad_count_flag = flag;
+      return 0;
+    }
+    return std::stoul(v);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--machine" && i + 1 < argc) {
@@ -338,7 +352,7 @@ int main(int argc, char** argv) {
         return usage(argv[0]);
       }
     } else if (arg == "--tag-bits" && i + 1 < argc) {
-      tag_bits = static_cast<unsigned>(std::atol(argv[++i]));
+      tag_bits = static_cast<unsigned>(parse_count("--tag-bits", argv[++i]));
     } else if (arg == "--memory-model" && i + 1 < argc) {
       const std::string model = argv[++i];
       if (model == "sc") {
@@ -354,10 +368,15 @@ int main(int argc, char** argv) {
     } else if (arg == "--symmetry") {
       opts.symmetry = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
-      opts.threads = static_cast<std::size_t>(std::atol(argv[++i]));
+      opts.threads = parse_count("--jobs", argv[++i]);
     } else {
       return usage(argv[0]);
     }
+  }
+  if (!bad_count_flag.empty()) {
+    std::fprintf(stderr, "bad count for %s: expected 0..4096\n",
+                 bad_count_flag.c_str());
+    return usage(argv[0]);
   }
 
   Setup s;
