@@ -14,6 +14,13 @@ namespace cal::engine {
 
 namespace {
 
+/// Position of global id `gid` in an ascending table of active ids: the
+/// operation's local index in a window search.
+std::size_t local_index(const std::vector<std::size_t>& ids, std::size_t gid) {
+  return static_cast<std::size_t>(
+      std::lower_bound(ids.begin(), ids.end(), gid) - ids.begin());
+}
+
 /// One window of the streaming search: the CAL policy over the *active*
 /// operations only (local indices), with two extensions — multiple roots
 /// (one per frontier entry, remembered in Node::root for witness stitching)
@@ -38,14 +45,11 @@ class StreamPolicy {
   };
   using Label = CaElement;
 
-  StreamPolicy(const std::vector<OpRecord>& ops, const CaSpec& spec,
-               const std::vector<FrontierEntry>& frontier,
-               const std::unordered_map<std::size_t, std::size_t>& local_of)
-      : ops_(ops),
-        spec_(spec),
-        frontier_(frontier),
-        local_of_(local_of),
-        index_(ops) {}
+  /// `ops[l]` is the active operation with global id `ids[l]`.
+  StreamPolicy(const std::vector<OpRecord>& ops,
+               const std::vector<std::size_t>& ids, const CaSpec& spec,
+               const std::vector<FrontierEntry>& frontier)
+      : ops_(ops), ids_(ids), spec_(spec), frontier_(frontier), index_(ops) {}
 
   std::vector<Node> roots() const {
     const std::size_t words = (ops_.size() + 63) / 64;
@@ -55,14 +59,14 @@ class StreamPolicy {
       const FrontierEntry& fe = frontier_[e];
       Node n{fe.state, StateMask(words, 0), 0, {}, e};
       for (std::size_t gid : fe.fired) {
-        const std::size_t l = local_of_.at(gid);
+        const std::size_t l = local_index(ids_, gid);
         mask_set(n.fired, l);
         if (!ops_[l].is_pending()) ++n.fired_completed;
       }
       n.pending_rets.reserve(fe.pending_rets.size());
       for (const auto& [gid, v] : fe.pending_rets) {
         n.pending_rets.emplace_back(
-            static_cast<std::uint32_t>(local_of_.at(gid)), v);
+            static_cast<std::uint32_t>(local_index(ids_, gid)), v);
       }
       // fe lists are ascending by global id and local order preserves
       // global order, so n.pending_rets is already sorted.
@@ -192,14 +196,53 @@ class StreamPolicy {
   }
 
   const std::vector<OpRecord>& ops_;
+  const std::vector<std::size_t>& ids_;
   const CaSpec& spec_;
   const std::vector<FrontierEntry>& frontier_;
-  const std::unordered_map<std::size_t, std::size_t>& local_of_;
   HistoryIndex index_;
   StepMemoFor<kShared, CaStepResult> memo_;
 };
 
 }  // namespace
+
+WitnessSegment::WitnessSegment(std::shared_ptr<const WitnessSegment> parent,
+                               std::vector<CaElement> elements)
+    : parent_(std::move(parent)), elements_(std::move(elements)) {}
+
+WitnessSegment::~WitnessSegment() {
+  // Trampoline: the outermost destructor on a thread releases the chain in
+  // a loop, and a destructor run by one of those releases hands its parent
+  // back to the loop instead of releasing it, so no release recurses.
+  // shared_ptr's own count decides which segments die: a segment another
+  // owner still holds simply stops the loop.
+  thread_local std::shared_ptr<const WitnessSegment>* handoff = nullptr;
+  if (handoff != nullptr) {
+    *handoff = std::move(parent_);
+    return;
+  }
+  std::shared_ptr<const WitnessSegment> next = std::move(parent_);
+  handoff = &next;
+  while (next) {
+    std::shared_ptr<const WitnessSegment> released = std::move(next);
+    released.reset();  // refills `next` if this was the last owner
+  }
+  handoff = nullptr;
+}
+
+std::vector<CaElement> WitnessSegment::trace(const WitnessSegment* last) {
+  std::vector<const WitnessSegment*> chain;
+  std::size_t size = 0;
+  for (const WitnessSegment* s = last; s != nullptr; s = s->parent_.get()) {
+    chain.push_back(s);
+    size += s->elements_.size();
+  }
+  std::vector<CaElement> out;
+  out.reserve(size);
+  for (auto it = chain.rbegin(); it != chain.rend(); ++it) {
+    out.insert(out.end(), (*it)->elements_.begin(), (*it)->elements_.end());
+  }
+  return out;
+}
 
 IncrementalChecker::IncrementalChecker(const CaSpec& spec,
                                        IncrementalOptions options)
@@ -218,6 +261,17 @@ void IncrementalChecker::fail(std::string reason) {
   status_.reason = std::move(reason);
 }
 
+void IncrementalChecker::violation(std::string reason) {
+  frontier_.clear();
+  status_.frontier_size = 0;
+  status_.active_ops = active_ids_.size();
+  fail(std::move(reason));
+}
+
+OpRecord& IncrementalChecker::active_op(std::size_t gid) {
+  return active_ops_[local_index(active_ids_, gid)];
+}
+
 void IncrementalChecker::push(const Action& action) {
   if (!status_.ok || status_.finished) return;
   const std::size_t idx = status_.actions_consumed++;
@@ -231,10 +285,10 @@ void IncrementalChecker::push(const Action& action) {
     rec.op = Operation{action.tid, action.object, action.method,
                        action.payload, std::nullopt};
     rec.inv_index = idx;
-    open_[action.tid] = ops_.size();
-    ops_.push_back(std::move(rec));
-    retired_.push_back(false);
-    ++status_.operations;
+    const std::size_t gid = status_.operations++;
+    open_[action.tid] = gid;
+    active_ids_.push_back(gid);
+    active_ops_.push_back(std::move(rec));
   } else {
     const auto it = open_.find(action.tid);
     if (it == open_.end()) {
@@ -242,7 +296,7 @@ void IncrementalChecker::push(const Action& action) {
            std::to_string(action.tid));
       return;
     }
-    OpRecord& rec = ops_[it->second];
+    OpRecord& rec = active_op(it->second);
     if (rec.op.object != action.object || rec.op.method != action.method) {
       fail("not well-formed: response does not match the open call on "
            "thread " +
@@ -274,7 +328,7 @@ void IncrementalChecker::finish() {
     for (FrontierEntry& entry : frontier_) {
       bool fired_pending = false;
       for (std::size_t gid : entry.fired) {
-        if (ops_[gid].is_pending()) {
+        if (active_op(gid).is_pending()) {
           fired_pending = true;
           break;
         }
@@ -284,8 +338,8 @@ void IncrementalChecker::finish() {
     frontier_ = std::move(kept);
     status_.frontier_size = frontier_.size();
     if (frontier_.empty()) {
-      fail("violation: every explanation fires an operation that never "
-           "completed");
+      violation("violation: every explanation fires an operation that never "
+                "completed");
     }
   }
   status_.finished = true;
@@ -295,7 +349,7 @@ std::optional<CaTrace> IncrementalChecker::witness() const {
   if (!status_.ok || !options_.track_witness || frontier_.empty()) {
     return std::nullopt;
   }
-  return CaTrace(frontier_.front().witness);
+  return CaTrace(WitnessSegment::trace(frontier_.front().witness.get()));
 }
 
 void IncrementalChecker::apply_responses() {
@@ -309,7 +363,7 @@ void IncrementalChecker::apply_responses() {
           entry.pending_rets.begin(), entry.pending_rets.end(), gid,
           [](const auto& p, std::size_t g) { return p.first < g; });
       if (it == entry.pending_rets.end() || it->first != gid) continue;
-      if (!(it->second == *ops_[gid].op.ret)) {
+      if (!(it->second == *active_op(gid).op.ret)) {
         alive = false;  // guessed a different return than the real one
         break;
       }
@@ -320,8 +374,8 @@ void IncrementalChecker::apply_responses() {
   frontier_ = std::move(kept);
   newly_completed_.clear();
   if (frontier_.empty()) {
-    fail("violation: every explanation committed to a different return "
-         "value than the one observed");
+    violation("violation: every explanation committed to a different "
+              "return value than the one observed");
   }
 }
 
@@ -331,18 +385,8 @@ void IncrementalChecker::check_window() {
   apply_responses();
   if (!status_.ok) return;
 
-  // The window problem ranges over the active (non-retired) operations,
-  // re-indexed densely.
-  std::vector<std::size_t> active;
-  std::vector<OpRecord> local_ops;
-  std::unordered_map<std::size_t, std::size_t> local_of;
-  for (std::size_t gid = 0; gid < ops_.size(); ++gid) {
-    if (retired_[gid]) continue;
-    local_of.emplace(gid, active.size());
-    active.push_back(gid);
-    local_ops.push_back(ops_[gid]);
-  }
-
+  // The window problem ranges over the active operations; an operation's
+  // local index is its position in the active table.
   SearchOptions sopts;
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;
@@ -352,17 +396,20 @@ void IncrementalChecker::check_window() {
                                               prefix) {
     FrontierEntry entry;
     entry.state = node.state;
-    for (std::size_t l = 0; l < active.size(); ++l) {
-      if (mask_test(node.fired, l)) entry.fired.push_back(active[l]);
+    for (std::size_t l = 0; l < active_ids_.size(); ++l) {
+      if (mask_test(node.fired, l)) entry.fired.push_back(active_ids_[l]);
     }
     entry.pending_rets.reserve(node.pending_rets.size());
     for (const auto& [l, v] : node.pending_rets) {
-      entry.pending_rets.emplace_back(active[l], v);
+      entry.pending_rets.emplace_back(active_ids_[l], v);
     }
     if (options_.track_witness) {
-      entry.witness = frontier_[node.root].witness;
-      entry.witness.insert(entry.witness.end(), prefix.begin(),
-                           prefix.end());
+      // A goal reached without firing anything shares its root's segment.
+      const std::shared_ptr<const WitnessSegment>& root =
+          frontier_[node.root].witness;
+      entry.witness = prefix.empty()
+                          ? root
+                          : std::make_shared<const WitnessSegment>(root, prefix);
     }
     next.push_back(std::move(entry));
   };
@@ -370,11 +417,11 @@ void IncrementalChecker::check_window() {
   engine::SearchStats stats;
   const std::size_t threads = par::resolve_threads(options_.threads);
   if (threads > 1) {
-    StreamPolicy<true> policy(local_ops, spec_, frontier_, local_of);
+    StreamPolicy<true> policy(active_ops_, active_ids_, spec_, frontier_);
     ParallelSearch<StreamPolicy<true>> driver(policy, sopts, threads);
     stats = driver.run_collect(sink);
   } else {
-    StreamPolicy<false> policy(local_ops, spec_, frontier_, local_of);
+    StreamPolicy<false> policy(active_ops_, active_ids_, spec_, frontier_);
     SequentialSearch<StreamPolicy<false>> driver(policy, sopts);
     stats = driver.run_collect(sink);
   }
@@ -386,36 +433,49 @@ void IncrementalChecker::check_window() {
     return;
   }
   if (next.empty()) {
-    fail("violation: no explanation fires every completed operation");
+    violation("violation: no explanation fires every completed operation");
     return;
   }
   frontier_ = std::move(next);
   retire();
   status_.frontier_size = frontier_.size();
-  status_.active_ops = ops_.size() - status_.retired_ops;
+  status_.active_ops = active_ids_.size();
 }
 
 void IncrementalChecker::retire() {
-  std::unordered_map<std::size_t, std::size_t> fired_in;
+  // fired_in[l]: entries that fired the completed active operation l.
+  std::vector<std::size_t> fired_in(active_ids_.size(), 0);
   for (const FrontierEntry& entry : frontier_) {
     for (std::size_t gid : entry.fired) {
-      if (!ops_[gid].is_pending()) ++fired_in[gid];
+      const std::size_t l = local_index(active_ids_, gid);
+      if (!active_ops_[l].is_pending()) ++fired_in[l];
     }
   }
-  bool any = false;
-  for (const auto& [gid, count] : fired_in) {
-    if (count == frontier_.size()) {
-      retired_[gid] = true;
-      ++status_.retired_ops;
-      any = true;
+  std::vector<std::size_t> retired;  // ascending global ids
+  std::size_t kept = 0;
+  for (std::size_t l = 0; l < active_ids_.size(); ++l) {
+    if (fired_in[l] == frontier_.size()) {
+      retired.push_back(active_ids_[l]);
+      continue;
     }
+    if (kept != l) {
+      active_ids_[kept] = active_ids_[l];
+      active_ops_[kept] = std::move(active_ops_[l]);
+    }
+    ++kept;
   }
-  if (!any) return;
+  if (retired.empty()) return;
+  status_.retired_ops += retired.size();
+  active_ids_.resize(kept);
+  active_ops_.resize(kept);
   for (FrontierEntry& entry : frontier_) {
-    entry.fired.erase(
-        std::remove_if(entry.fired.begin(), entry.fired.end(),
-                       [this](std::size_t gid) { return retired_[gid]; }),
-        entry.fired.end());
+    entry.fired.erase(std::remove_if(entry.fired.begin(), entry.fired.end(),
+                                     [&retired](std::size_t gid) {
+                                       return std::binary_search(
+                                           retired.begin(), retired.end(),
+                                           gid);
+                                     }),
+                      entry.fired.end());
   }
 }
 

@@ -32,9 +32,15 @@
 //    frontier entry can never be unfired: it leaves the active set, so
 //    window searches and node encodings scale with the (small) set of
 //    still-undecided operations, not with the length of the run.
+//
+// Nothing per window depends on the length of the run: the checker stores
+// only the active operations (retirement erases them), and a frontier
+// entry carries its witness as a pointer into a chain of shared, immutable
+// per-window segments (WitnessSegment) rather than as a copy of the trace.
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
@@ -68,8 +74,10 @@ struct IncrementalOptions {
   std::size_t threads = 1;
   /// Exact stored-key dedup instead of 128-bit fingerprints.
   bool exact_visited = false;
-  /// Carry a full witness trace in every frontier entry (off saves the
-  /// copying on long runs; witness() is then unavailable).
+  /// Keep a witness trace for every frontier entry. It is the one piece of
+  /// state that grows with the stream (the trace itself is O(stream)):
+  /// off drops that memory, leaving only the active operations and the
+  /// frontier, and witness() is then unavailable.
   bool track_witness = true;
 };
 
@@ -84,7 +92,8 @@ struct IncrementalStatus {
   std::size_t operations = 0;  ///< invocations seen
   std::size_t completed = 0;   ///< responses seen
   std::size_t windows_checked = 0;
-  /// Surviving explanations after the last window check.
+  /// Surviving explanations after the last window check (0 once a
+  /// violation has emptied the frontier).
   std::size_t frontier_size = 1;
   /// Operations still in play for window searches (not yet retired).
   std::size_t active_ops = 0;
@@ -95,6 +104,33 @@ struct IncrementalStatus {
   std::size_t violation_window = 0;
   /// Human-readable cause when !ok.
   std::string reason;
+};
+
+/// One window's piece of a witness trace: the CA-elements a window search
+/// fired on its way to one explanation, after the segment of the frontier
+/// entry it grew from. Segments are immutable and shared by every
+/// explanation that descends from them, so carrying a witness into the
+/// next window costs a pointer, not a copy of the trace so far.
+class WitnessSegment {
+ public:
+  WitnessSegment(std::shared_ptr<const WitnessSegment> parent,
+                 std::vector<CaElement> elements);
+  /// Releases the earlier segments that only this one kept alive in a
+  /// loop, not recursively: a chain as long as the stream would overflow
+  /// the stack.
+  ~WitnessSegment();
+  WitnessSegment(const WitnessSegment&) = delete;
+  WitnessSegment& operator=(const WitnessSegment&) = delete;
+
+  /// Every element from the start of the stream through `last`, in order
+  /// (empty for a null chain).
+  [[nodiscard]] static std::vector<CaElement> trace(
+      const WitnessSegment* last);
+
+ private:
+  /// The earlier windows; null at the start of the stream.
+  std::shared_ptr<const WitnessSegment> parent_;
+  std::vector<CaElement> elements_;
 };
 
 /// One surviving explanation: a spec state reachable by firing exactly the
@@ -108,8 +144,10 @@ struct FrontierEntry {
   /// Return values committed to for fired-while-pending operations,
   /// ascending by global id (a subset of `fired`).
   std::vector<std::pair<std::size_t, Value>> pending_rets;
-  /// Fired CA-elements from the start of the stream (when track_witness).
-  std::vector<CaElement> witness;
+  /// Last segment of the CA-elements fired since the start of the stream
+  /// (when track_witness; null while nothing has fired). Entries that grew
+  /// from the same explanation share every earlier segment.
+  std::shared_ptr<const WitnessSegment> witness;
 };
 
 class IncrementalChecker {
@@ -140,19 +178,26 @@ class IncrementalChecker {
 
  private:
   void fail(std::string reason);
+  /// fail() for a stream no explanation survives: empties the frontier.
+  void violation(std::string reason);
   /// Drops frontier entries whose committed pending returns contradict the
   /// responses that arrived since the previous window.
   void apply_responses();
   void check_window();
   /// Retires operations that completed and are fired in every entry.
   void retire();
+  /// The active operation with global id `gid` (which must be active).
+  OpRecord& active_op(std::size_t gid);
 
   const CaSpec& spec_;
   IncrementalOptions options_;
   IncrementalStatus status_;
 
-  std::vector<OpRecord> ops_;  ///< every operation ever seen, by global id
-  std::vector<bool> retired_;
+  /// The non-retired operations, ascending by global id: `active_ops_[i]`
+  /// has id `active_ids_[i]`, and a window search's local index is that
+  /// position. Retirement erases from both.
+  std::vector<std::size_t> active_ids_;
+  std::vector<OpRecord> active_ops_;
   std::unordered_map<ThreadId, std::size_t> open_;  ///< tid → open op id
   std::vector<std::size_t> newly_completed_;  ///< since the last window
   std::size_t buffered_ = 0;  ///< actions since the last window check

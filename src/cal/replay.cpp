@@ -2,35 +2,46 @@
 
 namespace cal {
 
-namespace {
-
-bool replay_ca_from(const CaTrace& trace, const CaSpec& spec,
-                    const SpecState& state, std::size_t k,
-                    ReplayResult& result) {
-  if (k == trace.size()) {
-    result.ok = true;
-    result.final_state = state;
-    return true;
-  }
-  const CaElement& elem = trace[k];
-  bool any_step = false;
-  for (const CaStepResult& sr : spec.step(state, elem.object(), elem.ops())) {
-    if (sr.element != elem) continue;  // spec filled different returns
-    any_step = true;
-    if (replay_ca_from(trace, spec, sr.next, k + 1, result)) return true;
-  }
-  if (!any_step && result.failed_at <= k) {
-    result.failed_at = k;
-    result.reason = "element not admissible: " + elem.to_string();
-  }
-  return false;
-}
-
-}  // namespace
-
 ReplayResult replay_ca(const CaTrace& trace, const CaSpec& spec) {
   ReplayResult result;
-  replay_ca_from(trace, spec, spec.initial(), 0, result);
+  // Depth-first over the spec's successors, on an explicit stack: a
+  // recursive walk is as deep as the trace is long.
+  struct Frame {
+    std::vector<CaStepResult> steps;  ///< successors reproducing the element
+    std::size_t next = 0;             ///< next one to try
+  };
+  std::vector<Frame> stack;
+  // Enters `state` after the first stack.size() elements; true once the
+  // whole trace is consumed.
+  const auto enter = [&](const SpecState& state) {
+    const std::size_t k = stack.size();
+    if (k == trace.size()) {
+      result.ok = true;
+      result.final_state = state;
+      return true;
+    }
+    const CaElement& elem = trace[k];
+    std::vector<CaStepResult> steps =
+        spec.step(state, elem.object(), elem.ops());
+    // The spec may fill in different returns than the trace recorded.
+    std::erase_if(steps,
+                  [&](const CaStepResult& sr) { return sr.element != elem; });
+    if (steps.empty() && result.failed_at <= k) {
+      result.failed_at = k;
+      result.reason = "element not admissible: " + elem.to_string();
+    }
+    stack.push_back(Frame{std::move(steps)});
+    return false;
+  };
+  if (enter(spec.initial())) return result;
+  while (!stack.empty()) {
+    Frame& frame = stack.back();
+    if (frame.next == frame.steps.size()) {
+      stack.pop_back();
+      continue;
+    }
+    if (enter(frame.steps[frame.next++].next)) return result;
+  }
   return result;
 }
 

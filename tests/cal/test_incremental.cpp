@@ -6,12 +6,14 @@
 // whole history, and an accepting stream must be able to produce a witness
 // that replays and agrees. On top of that: bounded violation-detection
 // latency (within the window containing the bad response), frontier
-// compaction (retirement) on long runs, and live streaming from a
+// compaction (retirement) on long runs, state bounded by the active set on
+// streams of tens of thousands of operations, and live streaming from a
 // runtime::Recorder cursor while worker threads are still recording.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <random>
 #include <thread>
@@ -33,6 +35,7 @@ namespace {
 
 using engine::IncrementalChecker;
 using engine::IncrementalOptions;
+using engine::WitnessSegment;
 
 const Symbol kE{"E"};
 const Symbol kEx{"exchange"};
@@ -257,6 +260,206 @@ TEST(IncrementalCompaction, LongRunRetiresDecidedOperations) {
   ASSERT_TRUE(w.has_value());
   EXPECT_EQ(w->elements().size(), kOps);
   EXPECT_TRUE(replay_ca(*w, spec).ok);
+}
+
+/// Valid exchanger run of `n_ops` operations: pairs of adjacent threads
+/// overlap and swap, one in four pairs times out (the T-STREAM bench shape).
+History exchanger_history(std::size_t n_ops) {
+  HistoryBuilder b;
+  std::int64_t v = 1;
+  ThreadId t = 1;
+  for (std::size_t i = 0; i + 1 < n_ops; i += 2) {
+    if (i % 8 == 6) {
+      b.op(t, "E", "exchange", iv(v), Value::pair(false, v));
+      b.op(t + 1, "E", "exchange", iv(v + 1), Value::pair(false, v + 1));
+    } else {
+      b.call(t, "E", "exchange", iv(v));
+      b.call(t + 1, "E", "exchange", iv(v + 1));
+      b.ret(t, Value::pair(true, v + 1));
+      b.ret(t + 1, Value::pair(true, v));
+    }
+    v += 2;
+    t = (t % 6) + 1;
+  }
+  return b.history();
+}
+
+/// agrees_with on a long complete history, one quiescent segment at a time
+/// (agrees_with itself is quadratic). Every operation before a quiescent cut
+/// precedes every operation after it, so segment-wise agreement composes to
+/// agreement of the whole history.
+void expect_agrees_by_segment(const History& h, const CaTrace& w) {
+  constexpr std::size_t kMinSegmentOps = 256;
+  const std::vector<Action>& actions = h.actions();
+  const std::vector<CaElement>& elements = w.elements();
+  std::size_t begin = 0;
+  std::size_t next_element = 0;
+  std::size_t open = 0;
+  std::size_t ops = 0;
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    if (actions[i].is_invoke()) {
+      ++open;
+      ++ops;
+    } else {
+      --open;
+    }
+    const bool last = i + 1 == actions.size();
+    if (open != 0 || (ops < kMinSegmentOps && !last)) continue;
+    std::vector<CaElement> part;
+    std::size_t covered = 0;
+    while (covered < ops && next_element < elements.size()) {
+      covered += elements[next_element].size();
+      part.push_back(elements[next_element++]);
+    }
+    ASSERT_EQ(covered, ops) << "witness does not split at action " << i + 1;
+    const History segment{std::vector<Action>(
+        actions.begin() + static_cast<std::ptrdiff_t>(begin),
+        actions.begin() + static_cast<std::ptrdiff_t>(i + 1))};
+    const AgreeResult a = agrees_with(segment, CaTrace{std::move(part)});
+    ASSERT_TRUE(a.agrees) << "segment ending at action " << i + 1 << ": "
+                          << a.reason;
+    begin = i + 1;
+    ops = 0;
+  }
+  EXPECT_EQ(next_element, elements.size());
+}
+
+TEST(IncrementalCompaction, LongStreamStateStaysBounded) {
+  // 2^15 operations: every window's active set and frontier stay as small
+  // as the stream's overlap, however long the stream has run.
+  constexpr std::size_t kOps = std::size_t{1} << 15;
+  constexpr std::size_t kBound = 2;  // at most one swapping pair is open
+  ExchangerSpec spec(kE, kEx);
+  const History h = exchanger_history(kOps);
+  for (std::size_t window : {std::size_t{1}, std::size_t{16}}) {
+    IncrementalOptions opts;
+    opts.window = window;
+    IncrementalChecker inc(spec, opts);
+    std::size_t windows = 0;
+    std::size_t worst_active = 0;
+    std::size_t worst_frontier = 0;
+    for (const Action& a : h.actions()) {
+      inc.push(a);
+      if (inc.status().windows_checked == windows) continue;
+      windows = inc.status().windows_checked;
+      worst_active = std::max(worst_active, inc.status().active_ops);
+      worst_frontier = std::max(worst_frontier, inc.status().frontier_size);
+    }
+    inc.finish();
+    ASSERT_TRUE(inc.ok()) << "window=" << window << ": "
+                          << inc.status().reason;
+    EXPECT_EQ(inc.status().windows_checked,
+              (h.actions().size() + window - 1) / window);
+    EXPECT_LE(worst_active, kBound) << "window=" << window;
+    EXPECT_LE(worst_frontier, kBound) << "window=" << window;
+    EXPECT_EQ(inc.status().retired_ops, kOps);
+    const std::optional<CaTrace> w = inc.witness();
+    ASSERT_TRUE(w.has_value());
+    const ReplayResult replayed = replay_ca(*w, spec);
+    EXPECT_TRUE(replayed.ok) << "window=" << window << ": " << replayed.reason;
+    expect_agrees_by_segment(h, *w);
+  }
+}
+
+TEST(IncrementalWitness, LongSegmentChainTearsDownIteratively) {
+  // Releasing a chain this long recursively overflows the stack (under
+  // ASan already at 2^16 segments). Every 4096th segment carries one
+  // element so the flattened traces can be counted.
+  constexpr std::size_t kSegments = std::size_t{1} << 20;
+  constexpr std::size_t kMarkEvery = 4096;
+  const CaElement mark = CaElement::swap(kE, kEx, 1, 1, 2, 2);
+  std::shared_ptr<const WitnessSegment> tail;
+  std::shared_ptr<const WitnessSegment> middle;
+  for (std::size_t i = 0; i < kSegments; ++i) {
+    std::vector<CaElement> elements;
+    if (i % kMarkEvery == 0) elements.push_back(mark);
+    tail = std::make_shared<const WitnessSegment>(std::move(tail),
+                                                  std::move(elements));
+    if (i == kSegments / 2) middle = tail;
+  }
+  EXPECT_EQ(WitnessSegment::trace(tail.get()).size(), kSegments / kMarkEvery);
+  // Frees the upper half only: the lower half is still shared by `middle`.
+  tail.reset();
+  const std::vector<CaElement> lower = WitnessSegment::trace(middle.get());
+  EXPECT_EQ(lower.size(), kSegments / 2 / kMarkEvery + 1);
+  EXPECT_TRUE(std::all_of(lower.begin(), lower.end(),
+                          [&](const CaElement& e) { return e == mark; }));
+  middle.reset();
+  EXPECT_TRUE(WitnessSegment::trace(nullptr).empty());
+}
+
+TEST(IncrementalWitness, SharedChainTearsDownFromTwoThreads) {
+  // Two threads each grow a long private suffix on one shared prefix and
+  // drop it at the same time: whichever lets go of the prefix last frees
+  // it, and neither release recurses.
+  constexpr std::size_t kSegments = std::size_t{1} << 16;
+  const auto grow = [](std::shared_ptr<const WitnessSegment> tail) {
+    for (std::size_t i = 0; i < kSegments; ++i) {
+      tail = std::make_shared<const WitnessSegment>(std::move(tail),
+                                                    std::vector<CaElement>{});
+    }
+    return tail;
+  };
+  std::shared_ptr<const WitnessSegment> prefix = grow(nullptr);
+  std::atomic<int> ready{0};
+  std::vector<std::thread> owners;
+  for (int i = 0; i < 2; ++i) {
+    owners.emplace_back([&grow, &ready, copy = prefix]() mutable {
+      std::shared_ptr<const WitnessSegment> tail = grow(std::move(copy));
+      ready.fetch_add(1);
+      while (ready.load() < 2) std::this_thread::yield();
+      tail.reset();
+    });
+  }
+  prefix.reset();
+  for (std::thread& t : owners) t.join();
+}
+
+// ---------------------------------------------------------------------------
+// A violation empties the frontier, and the status says so.
+
+TEST(IncrementalViolation, ContradictedGuessEmptiesFrontier) {
+  // t1's swap fires t2 while t2 is still pending, committing t2 to return
+  // (true,1); t2's real response then contradicts every explanation.
+  ExchangerSpec spec(kE, kEx);
+  IncrementalOptions opts;
+  opts.window = 1;
+  IncrementalChecker inc(spec, opts);
+  inc.push(Action::invoke(1, kE, kEx, iv(1)));
+  inc.push(Action::invoke(2, kE, kEx, iv(2)));
+  inc.push(Action::respond(1, kE, kEx, Value::pair(true, 2)));
+  ASSERT_TRUE(inc.ok()) << inc.status().reason;
+  EXPECT_EQ(inc.status().frontier_size, 1u);
+  inc.push(Action::respond(2, kE, kEx, Value::pair(true, 99)));
+  ASSERT_FALSE(inc.ok());
+  EXPECT_NE(inc.status().reason.find("different return value"),
+            std::string::npos)
+      << inc.status().reason;
+  EXPECT_EQ(inc.status().violation_window, 4u);
+  EXPECT_EQ(inc.status().frontier_size, 0u);
+  inc.finish();
+  EXPECT_EQ(inc.status().frontier_size, 0u);
+  EXPECT_FALSE(inc.witness().has_value());
+}
+
+TEST(IncrementalViolation, UnexplainedWindowEmptiesFrontier) {
+  // A swap with a value nobody offered: the window search finds no goal.
+  ExchangerSpec spec(kE, kEx);
+  IncrementalOptions opts;
+  opts.window = 1;
+  IncrementalChecker inc(spec, opts);
+  inc.push(Action::invoke(1, kE, kEx, iv(1)));
+  ASSERT_TRUE(inc.ok());
+  EXPECT_EQ(inc.status().frontier_size, 1u);
+  inc.push(Action::respond(1, kE, kEx, Value::pair(true, 5)));
+  ASSERT_FALSE(inc.ok());
+  EXPECT_NE(inc.status().reason.find("no explanation"), std::string::npos)
+      << inc.status().reason;
+  EXPECT_EQ(inc.status().violation_window, 2u);
+  EXPECT_EQ(inc.status().frontier_size, 0u);
+  inc.finish();
+  EXPECT_EQ(inc.status().frontier_size, 0u);
+  EXPECT_FALSE(inc.witness().has_value());
 }
 
 TEST(IncrementalEdgeCases, EmptyStreamAccepts) {

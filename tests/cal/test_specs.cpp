@@ -202,6 +202,55 @@ TEST(ReplayTest, CaTraceMembership) {
   EXPECT_EQ(r.failed_at, 2u);
 }
 
+/// A coin: `flip` lands on side 1 or 2 (two successors with the same
+/// CA-element), and `see(v)` is admissible only on side v. A trace that
+/// sees side 2 replays only by backtracking past the first successor.
+class CoinSpec final : public CaSpec {
+ public:
+  SpecState initial() const override { return {0}; }
+  std::size_t max_element_size() const override { return 1; }
+  std::vector<CaStepResult> step(const SpecState& state, Symbol object,
+                                 const std::vector<Operation>& ops)
+      const override {
+    const Operation& o = ops.front();
+    const CaElement element = CaElement::singleton(object, o);
+    if (o.method == Symbol{"flip"}) {
+      return {{{1}, element}, {{2}, element}};
+    }
+    if (state.front() == o.arg.as_int()) return {{state, element}};
+    return {};
+  }
+};
+
+TEST(ReplayTest, BacktracksOverNondeterministicSteps) {
+  const Symbol c{"C"};
+  CoinSpec spec;
+  CaTrace trace;
+  trace.append(CaElement::singleton(c, op(1, c, "flip", iv(0), iv(0))));
+  trace.append(CaElement::singleton(c, op(1, c, "see", iv(2), iv(0))));
+  const ReplayResult r = replay_ca(trace, spec);
+  ASSERT_TRUE(r) << r.reason;
+  EXPECT_EQ(r.final_state, SpecState{2});
+
+  trace.append(CaElement::singleton(c, op(1, c, "see", iv(1), iv(0))));
+  const ReplayResult bad = replay_ca(trace, spec);
+  EXPECT_FALSE(bad);
+  EXPECT_EQ(bad.failed_at, 2u);
+}
+
+TEST(ReplayTest, LongTraceReplaysWithoutRecursion) {
+  // Replay depth is the trace length; a recursive walk overflows the
+  // stack long before 2^17 elements.
+  constexpr std::int64_t kElements = std::int64_t{1} << 17;
+  ExchangerSpec spec(kE, kEx);
+  CaTrace trace;
+  for (std::int64_t v = 0; v < kElements; ++v) {
+    trace.append(CaElement::singleton(
+        kE, op(1, kE, "exchange", iv(v), Value::pair(false, v))));
+  }
+  EXPECT_TRUE(replay_ca(trace, spec));
+}
+
 TEST(ReplayTest, SequentialReplayTracksState) {
   StackSpec spec(Symbol{"S"});
   const Symbol s{"S"};

@@ -35,7 +35,9 @@
 //                     per-window progress on stderr. A violation exits 1
 //                     within one window of the offending response and
 //                     prints the consumed prefix as a replayable history.
-//   --window N        actions per streaming window (--follow; default 16)
+//   --window N        actions per streaming window (--follow; default 16,
+//                     at least 1). --follow refuses --symmetry: the
+//                     incremental checker has no symmetry groups.
 //
 // Specs:
 //   exchanger:<obj>[:<method>]   CA-spec (swap pairs / failures)
@@ -255,7 +257,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
 /// history document — replayable through the batch checker.
 int run_follow(const Options& opt, const SpecBundle& spec, std::istream& in) {
   engine::IncrementalOptions iopts;
-  iopts.window = opt.window == 0 ? 16 : opt.window;
+  iopts.window = opt.window;
   iopts.threads = opt.threads;
   iopts.exact_visited = opt.exact_visited;
   engine::IncrementalChecker checker(*spec.ca, iopts);
@@ -451,6 +453,16 @@ int main(int argc, char** argv) {
     }
     if (opt.files.size() > 1) {
       std::fprintf(stderr, "--follow takes at most one FILE\n");
+      return 2;
+    }
+    if (opt.window == 0) {
+      std::fprintf(stderr, "bad count for --window: expected 1..4096\n");
+      return 2;
+    }
+    if (opt.symmetry) {
+      std::fprintf(stderr,
+                   "--symmetry is not supported with --follow (the "
+                   "incremental checker has no symmetry groups)\n");
       return 2;
     }
     if (opt.files.empty()) return run_follow(opt, *spec, std::cin);
