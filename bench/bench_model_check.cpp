@@ -248,6 +248,11 @@ void BM_Explore_Reduction(benchmark::State& state) {
     benchmark::DoNotOptimize(r.ok());
   }
   state.counters["states"] = static_cast<double>(r.states);
+  state.counters["transitions"] = static_cast<double>(r.transitions);
+  // Transitions per second of measured time: the explorer's step rate.
+  state.counters["transitions_per_s"] =
+      benchmark::Counter(static_cast<double>(r.transitions),
+                         benchmark::Counter::kIsIterationInvariantRate);
   state.counters["por_pruned"] = static_cast<double>(r.por_pruned);
   state.counters["symmetry_merged"] = static_cast<double>(r.symmetry_merged);
   state.counters["exhausted"] = r.exhausted ? 1.0 : 0.0;

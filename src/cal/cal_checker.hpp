@@ -77,8 +77,8 @@ struct CalCheckResult {
   std::size_t visited_states = 0;
   std::size_t fired_elements = 0;
   /// Bytes held by the visited set when the search finished; the set only
-  /// grows, so this is also its peak (estimated key+node footprint in
-  /// exact mode, exact table bytes in fingerprint mode).
+  /// grows, so this is also its peak (arena words allocated plus the index
+  /// in exact mode, the fingerprint table's bytes otherwise).
   std::size_t visited_bytes = 0;
   /// Spec-step memoization: transition sets served from the per-search
   /// cache vs computed by CaSpec::step.

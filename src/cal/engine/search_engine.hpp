@@ -315,9 +315,10 @@ class ParallelSearch {
 
   bool enter(const Node& node) {
     if (!options_.dedup) return true;
-    NodeKey key;
+    // Per-worker scratch: the visited set copies new keys into its table.
+    static thread_local NodeKey key;
     policy_.encode(node, key);
-    if (!visited_.insert(std::move(key))) {
+    if (!visited_.insert(key)) {
       dedup_hits_.fetch_add(1, std::memory_order_relaxed);
       if constexpr (requires { policy_.on_dedup(node); }) {
         policy_.on_dedup(node);  // must be thread-safe in shared policies

@@ -2,24 +2,25 @@
 //
 // Every search in this library deduplicates flat `std::vector<int64_t>`
 // node encodings, in one of two modes: *exact* (the full encoding is
-// stored — zero false-prune risk, and the mode the explorer's sound state
-// merging requires) or *fingerprint* (128-bit two-chain fingerprints,
-// cal/fingerprint.hpp — 16 bytes per node at a ~2^-64 per-pair false-prune
-// risk). These two wrappers put both modes behind one insert() so the
-// engine drivers (engine/search_engine.hpp) never branch on the mode:
-// VisitedSet is the single-threaded table, SharedVisitedSet the striped-
-// lock table the parallel driver's workers share.
+// stored in a flat KeyTable, engine/key_table.hpp — zero false-prune risk,
+// and the mode the explorer's sound state merging requires) or
+// *fingerprint* (128-bit two-chain fingerprints, cal/fingerprint.hpp — 16
+// bytes per node at a ~2^-64 per-pair false-prune risk). These two
+// wrappers put both modes behind one insert() so the engine drivers
+// (engine/search_engine.hpp) never branch on the mode: VisitedSet is the
+// single-threaded table, SharedVisitedSet the striped-lock table the
+// parallel driver's workers share. Both report bytes() as the table's real
+// footprint: arena words allocated plus the index in exact mode, the slot
+// array in fingerprint mode.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
-#include <utility>
 #include <vector>
 
+#include "cal/engine/key_table.hpp"
 #include "cal/fingerprint.hpp"
 #include "cal/parallel/sharded_set.hpp"
-#include "cal/spec.hpp"
 
 namespace cal::engine {
 
@@ -34,11 +35,7 @@ class VisitedSet {
   /// Dedups `key`; true iff it was new. The key is only copied when stored
   /// (exact mode, first sighting), so callers can reuse a scratch buffer.
   bool insert(const NodeKey& key) {
-    if (exact_) {
-      if (!exact_set_.insert(key).second) return false;
-      exact_bytes_ += par::ShardedStateSet::key_bytes(key);
-      return true;
-    }
+    if (exact_) return exact_set_.insert(key).inserted;
     return fp_set_.insert(fingerprint_key(key));
   }
 
@@ -46,22 +43,14 @@ class VisitedSet {
     return exact_ ? exact_set_.size() : fp_set_.size();
   }
 
-  /// Bytes held by the table; the set only grows, so this is its peak
-  /// (estimated key+node footprint in exact mode, table bytes otherwise).
+  /// Bytes held by the table; the set only grows, so this is its peak.
   [[nodiscard]] std::size_t bytes() const noexcept {
-    return exact_ ? exact_bytes_ : fp_set_.bytes();
+    return exact_ ? exact_set_.bytes() : fp_set_.bytes();
   }
 
  private:
-  struct KeyHash {
-    std::size_t operator()(const NodeKey& k) const noexcept {
-      return hash_state(k);
-    }
-  };
-
   bool exact_;
-  std::unordered_set<NodeKey, KeyHash> exact_set_;
-  std::size_t exact_bytes_ = 0;
+  KeyTable exact_set_;
   FingerprintSet fp_set_;
 };
 
@@ -71,8 +60,10 @@ class SharedVisitedSet {
  public:
   explicit SharedVisitedSet(bool exact) : exact_(exact) {}
 
-  bool insert(NodeKey&& key) {
-    if (exact_) return exact_set_.insert(std::move(key));
+  /// Dedups `key`; true iff it was new. Exact mode copies a new key into
+  /// the table, so each worker can reuse one scratch buffer.
+  bool insert(const NodeKey& key) {
+    if (exact_) return exact_set_.insert(key);
     return fp_set_.insert(fingerprint_key(key));
   }
 

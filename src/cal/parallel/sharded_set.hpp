@@ -6,17 +6,19 @@
 // workers insert concurrently; striping the table over independently
 // locked shards keeps the visited check off the contention critical path
 // without resorting to a lock-free table (the shards also keep TSan
-// happy). The shard index and the bucket hash reuse the same hash value,
-// computed once per insert.
+// happy). Each shard is a flat engine::KeyTable (engine/key_table.hpp):
+// keys are copied into the shard's arena, so callers may pass a reused
+// scratch buffer. The shard index and the shard's slot index come from the
+// same hash value, computed once per operation.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_set>
 #include <vector>
 
+#include "cal/engine/key_table.hpp"
 #include "cal/fingerprint.hpp"
 #include "cal/spec.hpp"
 
@@ -38,30 +40,17 @@ class ShardedStateSet {
   /// Inserts `key`; returns true iff it was not already present. Thread
   /// safe; exactly one of any set of racing inserts of equal keys wins.
   bool insert(const Key& key) {
-    const std::size_t h = hash_state(key);
+    const std::uint64_t h = hash_state(key);
     Shard& shard = shards_[shard_of(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.set.insert(key).second) return false;
-    shard.bytes += key_bytes(key);
-    return true;
-  }
-
-  /// As above, destructively (spares the copy when the key is new).
-  bool insert(Key&& key) {
-    const std::size_t h = hash_state(key);
-    const std::size_t kb = key_bytes(key);
-    Shard& shard = shards_[shard_of(h)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    if (!shard.set.insert(std::move(key)).second) return false;
-    shard.bytes += kb;
-    return true;
+    return shard.table.insert(key, h).inserted;
   }
 
   [[nodiscard]] bool contains(const Key& key) const {
-    const std::size_t h = hash_state(key);
+    const std::uint64_t h = hash_state(key);
     const Shard& shard = shards_[shard_of(h)];
     std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.set.count(key) != 0;
+    return shard.table.contains(key, h);
   }
 
   /// Total elements. Exact once concurrent inserters have quiesced.
@@ -69,47 +58,32 @@ class ShardedStateSet {
     std::size_t total = 0;
     for (std::size_t i = 0; i <= mask_; ++i) {
       std::lock_guard<std::mutex> lock(shards_[i].mu);
-      total += shards_[i].set.size();
+      total += shards_[i].table.size();
     }
     return total;
   }
 
-  /// Estimated bytes held by the stored keys (payload + per-node overhead);
-  /// the set only grows, so this is also its peak.
+  /// Bytes held by the shards' tables (arena words allocated plus the
+  /// indexes); the set only grows, so this is also its peak.
   [[nodiscard]] std::size_t bytes() const {
     std::size_t total = 0;
     for (std::size_t i = 0; i <= mask_; ++i) {
       std::lock_guard<std::mutex> lock(shards_[i].mu);
-      total += shards_[i].bytes;
+      total += shards_[i].table.bytes();
     }
     return total;
   }
 
-  /// Estimated footprint of one stored key: payload, vector header, and
-  /// eight pointers of per-node overhead — hash-node link + cached hash,
-  /// the bucket slot (with growth slack), and the two 16-byte-aligned heap
-  /// chunk headers (node + vector data) a node-based table really pays.
-  [[nodiscard]] static std::size_t key_bytes(const Key& key) noexcept {
-    return key.size() * sizeof(std::int64_t) + sizeof(Key) +
-           8 * sizeof(void*);
-  }
-
  private:
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const noexcept {
-      return hash_state(k);
-    }
-  };
   struct alignas(64) Shard {  // own cache line: no lock false-sharing
     mutable std::mutex mu;
-    std::unordered_set<Key, KeyHash> set;
-    std::size_t bytes = 0;
+    engine::KeyTable table;
   };
 
-  // Buckets inside a shard use the hash's low bits; pick the shard from
+  // Slots inside a shard use the hash's low bits; pick the shard from
   // the high bits so the two partitions stay independent.
-  [[nodiscard]] std::size_t shard_of(std::size_t h) const noexcept {
-    return (h >> 48 ^ h >> 24) & mask_;
+  [[nodiscard]] std::size_t shard_of(std::uint64_t h) const noexcept {
+    return static_cast<std::size_t>(h >> 48 ^ h >> 24) & mask_;
   }
 
   std::unique_ptr<Shard[]> shards_;

@@ -7,6 +7,15 @@
 //
 // One *attempt* = one iteration of the transfer loop. The real SyncQueue
 // loops until it pairs or cancels; the simulated one is retry-bounded.
+//
+// Reclamation: a reservation is retired by whoever pops it off the spine
+// (the owner's cancel-unlink, a helper, or the fulfiller), never by its
+// owner while it may still be linked — a matched or cancelled node can
+// sit under newer reservations indefinitely, and retiring it there would
+// let the epoch domain free a node that `top` still reaches. Nodes still
+// linked at destruction are the queue's to free. The fulfiller's own node
+// is never linked (only the partner's match cell names it), so the
+// fulfiller retires it at once.
 #pragma once
 
 #include <cstdint>
@@ -111,20 +120,20 @@ SyncTransferOutcome sync_queue_transfer_attempt(Env& env,
     if (env.cas(node, kNodeMatch, kNullRef, q.cancelled,
                 MemOrder::kAcqRel)) {
       // Timed out unpaired — the exchanger's "pass" move. Best-effort
-      // unlink if we are still the top; otherwise a helper pops us later.
+      // unlink if we are still the top; otherwise a helper pops (and
+      // retires) us later.
       const Word next = env.load_frozen(node, kNodeNext);
       env.label(SyncQueuePc::kUnlinkSelf);
-      // Best-effort unlink of the cancelled self; result unused.
-      env.cas(q.top, 0, node, next, MemOrder::kRelease);
+      const bool popped = env.cas(q.top, 0, node, next, MemOrder::kRelease);
       env.emit(failure);
-      env.retire_grace(node, kNodeCells);
+      if (popped) env.retire_grace(node, kNodeCells);
       env.label(SyncQueuePc::kFailReturn);
       return {SyncTransfer::kTimedOut, 0};
     }
-    // Fulfilled: the fulfiller logged the pairing element.
+    // Fulfilled: the fulfiller logged the pairing element, and pops (and
+    // retires) our node unless a newer reservation covers it.
     const Word partner = env.load_frozen(node, kNodeMatch);
     const Word received = env.load_frozen(partner, kNodeData);
-    env.retire_grace(node, kNodeCells);
     env.label(SyncQueuePc::kWaiterReturn);
     return {SyncTransfer::kPaired, received};
   }
@@ -135,7 +144,9 @@ SyncTransferOutcome sync_queue_transfer_attempt(Env& env,
     // Already matched or cancelled: help unlink and retry.
     const Word next = env.load_frozen(h, kNodeNext);
     env.label(SyncQueuePc::kHelpUnlink);
-    env.cas(q.top, 0, h, next, MemOrder::kRelease);  // helping unlink
+    if (env.cas(q.top, 0, h, next, MemOrder::kRelease)) {
+      env.retire_grace(h, kNodeCells);
+    }
     return {SyncTransfer::kRetry, 0};
   }
   const Word node = env.alloc(kNodeCells);
@@ -159,8 +170,11 @@ SyncTransferOutcome sync_queue_transfer_attempt(Env& env,
     env.event(kEventPairing);
     const Word next = env.load_frozen(h, kNodeNext);
     env.label(SyncQueuePc::kUnlinkTop);
-    env.cas(q.top, 0, h, next,
-            MemOrder::kRelease);  // pop the fulfilled reservation
+    // Pop the fulfilled reservation; a newer one on top leaves it to a
+    // later helper.
+    if (env.cas(q.top, 0, h, next, MemOrder::kRelease)) {
+      env.retire_grace(h, kNodeCells);
+    }
     const Word received = partner_data;
     env.retire_grace(node, kNodeCells);
     env.label(SyncQueuePc::kFulfillReturn);

@@ -3,8 +3,10 @@
 namespace cal::objects {
 
 SyncQueue::~SyncQueue() {
-  // Quiescent at destruction: surviving nodes are unmatched reservations of
-  // threads that never completed (abnormal shutdown) — free the spine. The
+  // Quiescent at destruction. Reservations are retired only by whoever pops
+  // them off the spine (sync_queue_core.hpp), so every node still linked
+  // here — matched or cancelled under a newer reservation, or unmatched
+  // after an abnormal shutdown — is the spine's alone to free. The
   // cancelled sentinel is member storage and never linked into the spine.
   Word n = top_storage_.load(std::memory_order_acquire);
   while (n != kNullRef) {

@@ -7,10 +7,10 @@
 #include <mutex>
 #include <tuple>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
 
 #include "cal/engine/incremental.hpp"
+#include "cal/engine/key_table.hpp"
 #include "cal/engine/policy_base.hpp"
 #include "cal/engine/search_engine.hpp"
 #include "cal/parallel/task_pool.hpp"
@@ -32,12 +32,6 @@ std::vector<std::int64_t> encode_history(const History& h) {
   }
   return out;
 }
-
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::int64_t>& k) const noexcept {
-    return hash_state(k);
-  }
-};
 
 // --- partial-order reduction: sleep sets over step footprints -------------
 //
@@ -106,16 +100,24 @@ void encode_world_key(const World& world, const WorldCanon* canon, bool por,
 /// closure. Re-visits under incomparable masks still re-expand, which is
 /// what keeps the reduction sound (DESIGN.md). Striped-lock sharded so the
 /// parallel driver's workers can share one instance; the sequential driver
-/// uses the same type with the locks uncontended.
+/// uses the same type with the locks uncontended. Each shard is a flat
+/// KeyTable whose dense key ids index the keys' recorded masks.
 class SleepSubsumption {
  public:
   /// True iff `key` was already expanded with a recorded mask ⊆ `mask`.
   /// Otherwise records `mask` (dropping recorded supersets, which it now
   /// covers) and returns false.
   bool covered(const std::vector<std::int64_t>& key, std::uint64_t mask) {
-    Shard& s = shards_[hash_state(key) % kShards];
+    const std::uint64_t h = hash_state(key);
+    // Shard from the high bits: the table slots from the low ones.
+    Shard& s = shards_[(h >> 48 ^ h >> 24) % kShards];
     std::lock_guard<std::mutex> lock(s.mu);
-    std::vector<std::uint64_t>& masks = s.map[key];
+    const auto [id, inserted] = s.keys.insert(key, h);
+    if (inserted) {
+      s.masks.push_back({mask});
+      return false;
+    }
+    std::vector<std::uint64_t>& masks = s.masks[id];
     for (std::uint64_t m : masks) {
       if ((m & ~mask) == 0) return true;
     }
@@ -129,9 +131,8 @@ class SleepSubsumption {
   static constexpr std::size_t kShards = 64;
   struct Shard {
     std::mutex mu;
-    std::unordered_map<std::vector<std::int64_t>, std::vector<std::uint64_t>,
-                       KeyHash>
-        map;
+    engine::KeyTable keys;
+    std::vector<std::vector<std::uint64_t>> masks;  ///< by key id
   };
   std::array<Shard, kShards> shards_;
 };
@@ -424,7 +425,8 @@ class ExplorePolicy {
     // carry an empty sleep set and the exact visited key already dedups
     // them — keeping them out keeps the table small.
     if (subsume_ != nullptr && !node.world.all_done()) {
-      engine::NodeKey key;
+      // Per-worker scratch, done with before emit() recurses.
+      static thread_local engine::NodeKey key;
       bool renamed = false;
       encode_world_key(node.world, canon_, /*por=*/true,
                        sleep_mask_of(node.sleep), key, renamed);
@@ -515,13 +517,12 @@ ExploreResult Explorer::walk(std::size_t threads) {
   sopts.dedup = options_.merge_states;
 
   // The parallel driver calls the sink under its result lock.
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen_histories;
+  engine::KeyTable seen_histories;
   auto sink = [&](const typename Policy::Node& node,
                   const std::vector<ScheduleStep>&) {
     ++result.terminals;
     if (!options_.collect_terminals) return;
-    auto key = encode_history(node.world.history());
-    if (seen_histories.insert(std::move(key)).second) {
+    if (seen_histories.insert(encode_history(node.world.history())).inserted) {
       result.histories.push_back(node.world.history());
       result.traces.push_back(node.world.trace());
     }

@@ -4,6 +4,26 @@
 
 namespace cal::sched {
 
+namespace {
+
+/// Copy-on-append for the recorded path: `log` (whose entries are
+/// `entries`) may be shared with other worlds, so the append builds a new
+/// value — the old entries plus `item` — and replaces the pointer.
+template <typename Log, typename Item>
+void append_shared(std::shared_ptr<const Log>& log,
+                   const std::vector<Item>& entries, Item item) {
+  std::vector<Item> next;
+  next.reserve(entries.size() + 1);
+  next.insert(next.end(), entries.begin(), entries.end());
+  next.push_back(std::move(item));
+  log = std::make_shared<const Log>(std::move(next));
+}
+
+}  // namespace
+
+const History World::kNoHistory;
+const CaTrace World::kNoTrace;
+
 World::World(const WorldConfig& config)
     : config_(&config),
       mem_(config.programs.size(), config.heap_cells, config.global_cells,
@@ -223,7 +243,9 @@ void World::invoke(ThreadCtx& t) {
   t.op_logged = false;
   t.op_logged_ret = Value::unit();
   if (config_->record_history) {
-    history_.invoke(t.tid, object_symbol(t), call.method, call.arg);
+    append_shared(history_, history().actions(),
+                  Action::invoke(t.tid, object_symbol(t), call.method,
+                                 call.arg));
   }
 }
 
@@ -252,7 +274,8 @@ void World::respond(ThreadCtx& t, Value ret) {
     }
   }
   if (config_->record_history) {
-    history_.respond(t.tid, object_symbol(t), call.method, ret);
+    append_shared(history_, history().actions(),
+                  Action::respond(t.tid, object_symbol(t), call.method, ret));
   }
   t.op_active = false;
   t.op_logged = false;
@@ -303,7 +326,9 @@ std::optional<std::string> World::mark_logged(const Operation& op) {
 
 void World::append_element(const CaElement& element) {
   note_global_effect();
-  if (config_->record_trace) trace_.append(element);
+  if (config_->record_trace) {
+    append_shared(trace_, trace().elements(), element);
+  }
 
   // Apply the composed view 𝔽 to obtain interface-level elements.
   CaTrace image;
@@ -316,7 +341,9 @@ void World::append_element(const CaElement& element) {
   }
 
   for (const CaElement& e : image.elements()) {
-    if (config_->record_trace) viewed_trace_.append(e);
+    if (config_->record_trace) {
+      append_shared(viewed_trace_, viewed_trace().elements(), e);
+    }
     // L3: interface-level replay.
     if (config_->spec != nullptr) {
       bool stepped = false;
@@ -452,6 +479,17 @@ bool same_program(const ThreadProgram& a, const ThreadProgram& b) {
 constexpr std::int64_t kTagRaw = 0;
 constexpr std::int64_t kTagRef = 1;  ///< interchangeable-segment address
 constexpr std::int64_t kTagTid = 2;  ///< interchangeable thread's tid
+
+/// WorldCanon::encode's working buffers, reused across calls so encoding
+/// allocates nothing once warm. Per thread: the parallel explorer's
+/// workers encode concurrently.
+struct CanonScratch {
+  std::vector<std::size_t> order;
+  std::vector<std::vector<std::int64_t>> keys;
+  std::vector<std::size_t> sorted;
+  std::vector<std::size_t> new_index;
+};
+thread_local CanonScratch canon_scratch;
 
 }  // namespace
 
@@ -610,24 +648,36 @@ void WorldCanon::encode(const World& world, std::uint64_t sleep_mask,
   // by their abstracted (renaming-invariant) state. The permutation maps
   // class members onto the class's own slots; unique threads stay put.
   static const std::vector<std::size_t> kNoIndex;
-  std::vector<std::size_t> order(threads_);
+  CanonScratch& sc = canon_scratch;
+  std::vector<std::size_t>& order = sc.order;
+  std::vector<std::vector<std::int64_t>>& keys = sc.keys;
+  std::vector<std::size_t>& sorted = sc.sorted;
+  std::vector<std::size_t>& new_index = sc.new_index;
+  order.resize(threads_);
   for (std::size_t i = 0; i < threads_; ++i) order[i] = i;
-  std::vector<std::vector<std::int64_t>> keys(threads_);
+  if (keys.size() < threads_) keys.resize(threads_);
   for (const auto& members : class_members_) {
     if (members.size() < 2) continue;
     for (std::size_t i : members) {
+      keys[i].clear();
       emit_thread(world, i, /*abstract=*/true, kNoIndex, keys[i]);
     }
-    std::vector<std::size_t> sorted = members;
-    std::stable_sort(sorted.begin(), sorted.end(),
-                     [&keys](std::size_t a, std::size_t b) {
-                       return keys[a] < keys[b];
-                     });
+    // Stable insertion sort by abstracted state (classes are small, and
+    // std::stable_sort would allocate its merge buffer).
+    sorted.assign(members.begin(), members.end());
+    for (std::size_t k = 1; k < sorted.size(); ++k) {
+      const std::size_t m = sorted[k];
+      std::size_t j = k;
+      for (; j > 0 && keys[m] < keys[sorted[j - 1]]; --j) {
+        sorted[j] = sorted[j - 1];
+      }
+      sorted[j] = m;
+    }
     for (std::size_t k = 0; k < members.size(); ++k) {
       order[members[k]] = sorted[k];  // slot members[k] holds sorted[k]
     }
   }
-  std::vector<std::size_t> new_index(threads_);
+  new_index.resize(threads_);
   for (std::size_t slot = 0; slot < threads_; ++slot) {
     new_index[order[slot]] = slot;
     if (order[slot] != slot) renamed = true;

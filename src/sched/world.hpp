@@ -3,7 +3,9 @@
 // A World is one configuration of the simulated program: the shared memory,
 // every thread's control state, and the audit state. Worlds are plain
 // values — the explorer copies them to branch and hashes their encoding to
-// merge converged schedules.
+// merge converged schedules. The recorded history and traces are shared
+// immutable values: an append builds a new value and swaps the pointer, so
+// branching a world copies three pointers, not the recorded path.
 //
 // The online audit is the executable form of the paper's proof obligations.
 // The instrumentation appends CA-elements to 𝒯 at commit points; the audit
@@ -418,11 +420,15 @@ class World {
   }
   [[nodiscard]] std::uint64_t events() const noexcept { return events_; }
 
-  [[nodiscard]] const History& history() const noexcept { return history_; }
-  [[nodiscard]] const CaTrace& trace() const noexcept { return trace_; }
+  [[nodiscard]] const History& history() const noexcept {
+    return history_ ? *history_ : kNoHistory;
+  }
+  [[nodiscard]] const CaTrace& trace() const noexcept {
+    return trace_ ? *trace_ : kNoTrace;
+  }
   /// The view image of the raw trace accumulated so far (L3's input).
   [[nodiscard]] const CaTrace& viewed_trace() const noexcept {
-    return viewed_trace_;
+    return viewed_trace_ ? *viewed_trace_ : kNoTrace;
   }
   /// The online replay's abstract state (for the canonical encoder).
   [[nodiscard]] const SpecState& view_state() const noexcept {
@@ -462,9 +468,13 @@ class World {
   StepFootprint footprint_;  ///< transient per-step metadata, not encoded
   bool tagged_aba_ = false;  ///< transient per-step metadata, not encoded
   std::optional<std::string> violation_;
-  History history_;
-  CaTrace trace_;
-  CaTrace viewed_trace_;
+  // Recorded path (WorldConfig::record_history / record_trace): shared
+  // between branched worlds and never mutated; null while empty.
+  std::shared_ptr<const History> history_;
+  std::shared_ptr<const CaTrace> trace_;
+  std::shared_ptr<const CaTrace> viewed_trace_;
+  static const History kNoHistory;
+  static const CaTrace kNoTrace;
 
   // Reclamation state (encoded only under recycle_addresses; empty and
   // inert otherwise, so legacy encodings are byte-identical).

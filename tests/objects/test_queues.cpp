@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -126,6 +127,35 @@ TEST(SyncQueue, PairingHandsOffValue) {
   }
   ASSERT_TRUE(paired);
   EXPECT_EQ(take_r.value, 42);
+}
+
+TEST(SyncQueue, DestroyedWithACancelledReservationStillLinked) {
+  // Two puts start together with equal budgets and no taker. The second
+  // reservation lands on top of the first, so the first one's cancel
+  // fails to unlink it; the second then cancels and unlinks itself, which
+  // leaves the first, cancelled, linked at the top. That node must be
+  // freed exactly once: retiring it to the epoch domain while it is still
+  // linked and also freeing it in ~SyncQueue is a double free (an ASan
+  // abort, or a heap-corruption abort without it).
+  for (int round = 0; round < 20; ++round) {
+    runtime::EpochDomain ebr;
+    SyncQueue q(ebr, Symbol{"SQ"});
+    bool first = true;
+    bool second = true;
+    {
+      std::latch start(2);
+      std::jthread a([&] {
+        start.arrive_and_wait();
+        first = q.put(0, 1, 1 << 14);
+      });
+      std::jthread b([&] {
+        start.arrive_and_wait();
+        second = q.put(1, 2, 1 << 14);
+      });
+    }
+    EXPECT_FALSE(first);
+    EXPECT_FALSE(second);
+  }
 }
 
 TEST(SyncQueue, ConservationUnderContention) {
