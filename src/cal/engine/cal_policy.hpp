@@ -11,15 +11,21 @@
 // CA-elements, so an accept-mode witness is exactly a trace T ∈ 𝒯 with
 // H^c ⊑CAL T.
 //
-// The expansion order replicates the pre-engine checker line for line —
-// with the sequential driver and exact dedup this policy is bit-for-bit
-// the historical CalChecker, witness included.
+// The enumeration itself is CalExpansion, shared with the streaming
+// checker's window policy (engine/incremental.cpp). It visits objects in
+// reverse order of their first enabled operation — the order the
+// pre-engine checker's per-node hash map iterated in for up to two
+// objects — so with the sequential driver and exact dedup this policy is
+// bit-for-bit the historical CalChecker, witness included, on histories of
+// at most two objects. With three or more, the hash map's order depended
+// on the symbols' ids; the reverse-first-enabled order is the
+// deterministic rule for every object count.
 #pragma once
 
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -36,7 +42,7 @@ namespace cal::engine {
 /// are identified by their indices in the search's fixed array, so the key
 /// pins the query exactly without serializing Values (cal/step_cache.hpp).
 inline void encode_cal_step_key(const SpecState& state, Symbol object,
-                                const std::vector<std::size_t>& chosen,
+                                std::span<const std::size_t> chosen,
                                 StepKey& out) {
   out.clear();
   out.reserve(2 + chosen.size() + state.size());
@@ -47,6 +53,187 @@ inline void encode_cal_step_key(const SpecState& state, Symbol object,
   }
   out.insert(out.end(), state.begin(), state.end());
 }
+
+/// Reusable scratch of one CalExpansion::each_element call.
+struct CalExpandScratch {
+  /// One object's candidates: candidates[first, first + count).
+  struct Group {
+    std::uint32_t object;  ///< dense object index
+    std::size_t first;
+    std::size_t count;
+  };
+  std::vector<std::size_t> enabled;     ///< candidate ops, ascending
+  std::vector<std::size_t> candidates;  ///< the same ops, grouped by object
+  std::vector<Group> groups;            ///< by first enabled operation
+  /// Per dense object: 1 + its index in `groups`, or 0. All zero between
+  /// calls.
+  std::vector<std::uint32_t> group_of;
+  std::vector<std::size_t> chosen;
+  std::vector<Operation> chosen_ops;
+  StepKey key;
+};
+
+/// Successor enumeration of the CAL search: the candidate CA-elements of a
+/// node and their spec-step outcomes. A candidate is a non-empty subset of
+/// the enabled operations of one object, enumerated largest first (the
+/// common witness shape of CA-objects, e.g. exchanger swaps, comes first)
+/// with CaSpec::compatible pruning every superset of an incompatible set;
+/// each survivor is stepped through the per-search memo.
+///
+/// The per-node working set lives in a ScratchLease, so expanding a node
+/// allocates nothing once the scratch has grown: the enabled set comes
+/// from one pass over the response order (HistoryIndex::fired_prefix), and
+/// operations are grouped by a dense per-history object index.
+template <bool kShared>
+class CalExpansion {
+ public:
+  /// `pending_candidates`: whether pending invocations may fire.
+  CalExpansion(const std::vector<OpRecord>& ops, const CaSpec& spec,
+               bool pending_candidates)
+      : ops_(ops),
+        spec_(spec),
+        pending_candidates_(pending_candidates),
+        index_(ops),
+        object_of_(ops.size()) {
+    std::vector<std::uint32_t> objects(ops.size());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      objects[i] = ops[i].op.object.id();
+    }
+    std::sort(objects.begin(), objects.end());
+    objects.erase(std::unique(objects.begin(), objects.end()), objects.end());
+    for (std::size_t i = 0; i < ops.size(); ++i) {
+      object_of_[i] = static_cast<std::uint32_t>(
+          std::lower_bound(objects.begin(), objects.end(),
+                           ops[i].op.object.id()) -
+          objects.begin());
+    }
+    objects_ = objects.size();
+  }
+
+  [[nodiscard]] const HistoryIndex& index() const noexcept { return index_; }
+
+  /// Calls `fire(chosen, newly_completed, outcomes)` for every candidate
+  /// element of the node (state, fired): `chosen` are its operations'
+  /// indices, ascending; `newly_completed` counts the completed ones;
+  /// `outcomes` are the spec's results, each a successor. Stops when
+  /// `fire` returns false.
+  template <typename Fire>
+  void each_element(const SpecState& state, const StateMask& fired,
+                    Fire&& fire) {
+    ScratchLease<CalExpandScratch> scratch;
+    CalExpandScratch& s = *scratch;
+    group_candidates(fired, s);
+    for (std::size_t g = s.groups.size(); g-- > 0;) {
+      const std::span<const std::size_t> candidates(
+          s.candidates.data() + s.groups[g].first, s.groups[g].count);
+      const Symbol object = ops_[candidates.front()].op.object;
+      const std::size_t cap =
+          spec_.max_element_size() == 0
+              ? candidates.size()
+              : std::min(spec_.max_element_size(), candidates.size());
+      for (std::size_t size = cap; size >= 1; --size) {
+        s.chosen.clear();
+        s.chosen_ops.clear();
+        if (!try_subsets(state, object, candidates, 0, size, s, fire)) {
+          return;
+        }
+      }
+    }
+  }
+
+  [[nodiscard]] std::size_t pruned_subsets() const {
+    return read_counter(pruned_subsets_);
+  }
+  [[nodiscard]] std::size_t step_cache_hits() const { return memo_.hits(); }
+  [[nodiscard]] std::size_t step_cache_misses() const {
+    return memo_.misses();
+  }
+
+ private:
+  /// Fills s.candidates with the node's candidate operations grouped by
+  /// object, and s.groups with the groups in order of first enabled
+  /// operation.
+  void group_candidates(const StateMask& fired, CalExpandScratch& s) const {
+    s.enabled.clear();
+    s.groups.clear();
+    if (s.group_of.size() < objects_) s.group_of.resize(objects_, 0);
+    const std::size_t prefix = index_.fired_prefix(fired);
+    for (std::size_t i = 0; i < ops_.size(); ++i) {
+      if (!index_.enabled(i, fired, prefix)) continue;
+      if (ops_[i].is_pending() && !pending_candidates_) continue;
+      std::uint32_t& g = s.group_of[object_of_[i]];
+      if (g == 0) {
+        s.groups.push_back({object_of_[i], 0, 0});
+        g = static_cast<std::uint32_t>(s.groups.size());
+      }
+      ++s.groups[g - 1].count;
+      s.enabled.push_back(i);
+    }
+    if (s.groups.size() <= 1) {
+      s.candidates.swap(s.enabled);
+    } else {
+      // Counting sort by group; `count` doubles as the fill cursor.
+      std::size_t at = 0;
+      for (CalExpandScratch::Group& grp : s.groups) {
+        grp.first = at;
+        at += grp.count;
+        grp.count = 0;
+      }
+      s.candidates.resize(s.enabled.size());
+      for (std::size_t i : s.enabled) {
+        CalExpandScratch::Group& grp = s.groups[s.group_of[object_of_[i]] - 1];
+        s.candidates[grp.first + grp.count++] = i;
+      }
+    }
+    for (const CalExpandScratch::Group& grp : s.groups) {
+      s.group_of[grp.object] = 0;
+    }
+  }
+
+  /// False = the driver asked to stop (goal found / cancelled).
+  template <typename Fire>
+  bool try_subsets(const SpecState& state, Symbol object,
+                   std::span<const std::size_t> candidates, std::size_t from,
+                   std::size_t remaining, CalExpandScratch& s, Fire& fire) {
+    if (remaining == 0) {
+      std::size_t newly_completed = 0;
+      for (std::size_t i : s.chosen) {
+        if (!ops_[i].is_pending()) ++newly_completed;
+      }
+      encode_cal_step_key(state, object, s.chosen, s.key);
+      const std::vector<CaStepResult>& outcomes = memo_.find_or_insert(
+          s.key, [&] { return spec_.step(state, object, s.chosen_ops); });
+      return fire(std::span<const std::size_t>(s.chosen), newly_completed,
+                  outcomes);
+    }
+    for (std::size_t i = from; i + remaining <= candidates.size(); ++i) {
+      s.chosen.push_back(candidates[i]);
+      s.chosen_ops.push_back(ops_[candidates[i]].op);
+      bool keep_going = true;
+      if (!spec_.compatible(object, s.chosen_ops)) {
+        bump(pruned_subsets_);
+      } else {
+        keep_going =
+            try_subsets(state, object, candidates, i + 1, remaining - 1, s,
+                        fire);
+      }
+      s.chosen.pop_back();
+      s.chosen_ops.pop_back();
+      if (!keep_going) return false;
+    }
+    return true;
+  }
+
+  const std::vector<OpRecord>& ops_;
+  const CaSpec& spec_;
+  bool pending_candidates_;
+  HistoryIndex index_;
+  /// Dense object index of each operation, and the number of objects.
+  std::vector<std::uint32_t> object_of_;
+  std::size_t objects_ = 0;
+  StepMemoFor<kShared, CaStepResult> memo_;
+  Counter<kShared> pruned_subsets_{0};
+};
 
 template <bool kShared>
 class CalPolicy {
@@ -60,10 +247,7 @@ class CalPolicy {
 
   CalPolicy(const std::vector<OpRecord>& ops, const CaSpec& spec,
             bool complete_pending, bool symmetry = false)
-      : ops_(ops),
-        spec_(spec),
-        complete_pending_(complete_pending),
-        index_(ops) {
+      : ops_(ops), spec_(spec), expansion_(ops, spec, complete_pending) {
     if (symmetry) build_groups();
   }
 
@@ -72,7 +256,7 @@ class CalPolicy {
   }
 
   bool is_goal(const Node& n) const {
-    return n.fired_completed == index_.completed();
+    return n.fired_completed == expansion_.index().completed();
   }
 
   /// With symmetry groups, the dedup key identifies nodes up to swapping
@@ -123,57 +307,39 @@ class CalPolicy {
 
   bool cancelled() const { return false; }
 
+  /// Pending invocations are candidates only when completion is allowed.
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {
-    // Collect enabled operations, grouped by object. Pending invocations
-    // participate only when completion is allowed.
-    std::unordered_map<Symbol, std::vector<std::size_t>> by_object;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (!index_.enabled(i, node.fired)) continue;
-      if (ops_[i].is_pending() && !complete_pending_) continue;
-      by_object[ops_[i].op.object].push_back(i);
-    }
-
-    // Enumerate non-empty subsets of each object's candidates, largest
-    // first (multi-operation CA-elements are the common witness shape for
-    // CA-objects, e.g. exchanger swaps).
-    std::vector<std::size_t> chosen;
-    std::vector<Operation> chosen_ops;
-    for (const auto& [object, candidates] : by_object) {
-      const std::size_t cap =
-          spec_.max_element_size() == 0
-              ? candidates.size()
-              : std::min(spec_.max_element_size(), candidates.size());
-      for (std::size_t size = cap; size >= 1; --size) {
-        chosen.clear();
-        chosen_ops.clear();
-        if (!try_subsets(node, object, candidates, 0, size, chosen,
-                         chosen_ops, emit)) {
-          return;
-        }
-      }
-    }
+    expansion_.each_element(
+        node.state, node.fired,
+        [&](std::span<const std::size_t> chosen, std::size_t newly_completed,
+            const std::vector<CaStepResult>& outcomes) {
+          for (const CaStepResult& sr : outcomes) {
+            bump(fired_elements_);
+            Node next{sr.next, node.fired,
+                      node.fired_completed + newly_completed};
+            for (std::size_t i : chosen) mask_set(next.fired, i);
+            if (!emit(std::move(next), CaElement(sr.element))) return false;
+          }
+          return true;
+        });
   }
 
   [[nodiscard]] std::size_t fired_elements() const {
     return read_counter(fired_elements_);
   }
   [[nodiscard]] std::size_t pruned_subsets() const {
-    return read_counter(pruned_subsets_);
+    return expansion_.pruned_subsets();
   }
   [[nodiscard]] std::size_t symmetry_merged() const {
     return read_counter(symmetry_merged_);
   }
-  /// Operations actually covered by a symmetry group (diagnostic).
-  [[nodiscard]] std::size_t symmetric_ops() const {
-    std::size_t n = 0;
-    for (const auto& g : groups_) n += g.size();
-    return n;
+  [[nodiscard]] std::size_t step_cache_hits() const {
+    return expansion_.step_cache_hits();
   }
-  [[nodiscard]] std::size_t step_cache_hits() const { return memo_.hits(); }
   [[nodiscard]] std::size_t step_cache_misses() const {
-    return memo_.misses();
+    return expansion_.step_cache_misses();
   }
 
  private:
@@ -187,42 +353,19 @@ class CalPolicy {
   ///   * they constrain the same successors: their positions in the
   ///     response-sorted order fall on the same side of every distinct
   ///     predecessor-count threshold.
-  /// The last two conditions are recomputed here from the raw indices the
-  /// same way HistoryIndex computes them (it exposes only the combined
-  /// `enabled` query). Groups of size 1 are dropped — they reduce nothing.
+  /// Groups of size 1 are dropped — they reduce nothing.
   void build_groups() {
     const std::size_t n = ops_.size();
-    // Response-sorted order of completed ops, and each op's position in it.
-    std::vector<std::size_t> by_res;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!ops_[i].is_pending()) by_res.push_back(i);
-    }
-    std::sort(by_res.begin(), by_res.end(),
-              [this](std::size_t a, std::size_t b) {
-                return *ops_[a].res_index < *ops_[b].res_index;
-              });
+    const HistoryIndex& index = expansion_.index();
+    // Each completed op's position in the response-sorted order.
+    const std::span<const std::size_t> by_res = index.by_response();
     std::vector<std::size_t> pos(n, 0);
     for (std::size_t p = 0; p < by_res.size(); ++p) pos[by_res[p]] = p;
-    // Predecessor-prefix length per op (HistoryIndex's sweep).
-    std::vector<std::size_t> by_inv(n);
-    for (std::size_t i = 0; i < n; ++i) by_inv[i] = i;
-    std::sort(by_inv.begin(), by_inv.end(),
-              [this](std::size_t a, std::size_t b) {
-                return ops_[a].inv_index < ops_[b].inv_index;
-              });
-    std::vector<std::size_t> pred_count(n, 0);
-    std::size_t k = 0;
-    for (std::size_t i : by_inv) {
-      while (k < by_res.size() &&
-             *ops_[by_res[k]].res_index < ops_[i].inv_index) {
-        ++k;
-      }
-      pred_count[i] = k;
-    }
     // Successor bucket: how many distinct thresholds lie at or below the
     // op's response-sorted position (ops in the same bucket are
     // predecessors of exactly the same set of operations).
-    std::vector<std::size_t> thresholds(pred_count);
+    std::vector<std::size_t> thresholds(n);
+    for (std::size_t i = 0; i < n; ++i) thresholds[i] = index.pred_count(i);
     std::sort(thresholds.begin(), thresholds.end());
     thresholds.erase(std::unique(thresholds.begin(), thresholds.end()),
                      thresholds.end());
@@ -246,7 +389,7 @@ class CalPolicy {
       const std::uint64_t cls =
           spec_.symmetry_class(ops_[i].op.object, ops_[i].op);
       if (cls == 0) continue;
-      const GroupKey key{ops_[i].op.object.id(), cls, pred_count[i],
+      const GroupKey key{ops_[i].op.object.id(), cls, index.pred_count(i),
                          bucket(pos[i])};
       std::size_t g = groups.size();
       for (const auto& [fk, fg] : found) {
@@ -269,75 +412,14 @@ class CalPolicy {
     }
   }
 
-  /// False = the driver asked to stop (goal found / cancelled).
-  template <typename Emit>
-  bool try_subsets(const Node& node, Symbol object,
-                   const std::vector<std::size_t>& candidates,
-                   std::size_t from, std::size_t remaining,
-                   std::vector<std::size_t>& chosen,
-                   std::vector<Operation>& chosen_ops, Emit& emit) {
-    if (remaining == 0) {
-      return fire(node, object, chosen, chosen_ops, emit);
-    }
-    for (std::size_t i = from; i + remaining <= candidates.size(); ++i) {
-      chosen.push_back(candidates[i]);
-      chosen_ops.push_back(ops_[candidates[i]].op);
-      bool keep_going = true;
-      if (!spec_.compatible(object, chosen_ops)) {
-        bump(pruned_subsets_);
-      } else {
-        keep_going = try_subsets(node, object, candidates, i + 1,
-                                 remaining - 1, chosen, chosen_ops, emit);
-      }
-      chosen.pop_back();
-      chosen_ops.pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  /// spec_.step through the memo; the returned reference stays valid
-  /// across the recursion (node-based / sharded map, never erased).
-  const std::vector<CaStepResult>& stepped(
-      const SpecState& state, Symbol object,
-      const std::vector<std::size_t>& chosen,
-      const std::vector<Operation>& element_ops) {
-    StepKey key;
-    encode_cal_step_key(state, object, chosen, key);
-    if (const auto* cached = memo_.find(key)) return *cached;
-    return memo_.insert(std::move(key),
-                        spec_.step(state, object, element_ops));
-  }
-
-  template <typename Emit>
-  bool fire(const Node& node, Symbol object,
-            const std::vector<std::size_t>& chosen,
-            const std::vector<Operation>& element_ops, Emit& emit) {
-    std::size_t newly_completed = 0;
-    for (std::size_t i : chosen) {
-      if (!ops_[i].is_pending()) ++newly_completed;
-    }
-    for (const CaStepResult& sr :
-         stepped(node.state, object, chosen, element_ops)) {
-      bump(fired_elements_);
-      Node next{sr.next, node.fired, node.fired_completed + newly_completed};
-      for (std::size_t i : chosen) mask_set(next.fired, i);
-      if (!emit(std::move(next), CaElement(sr.element))) return false;
-    }
-    return true;
-  }
-
   const std::vector<OpRecord>& ops_;
   const CaSpec& spec_;
-  bool complete_pending_;
-  HistoryIndex index_;
+  CalExpansion<kShared> expansion_;
   /// Interchangeability groups (≥ 2 members each) and the bit-mask of all
   /// grouped operations; both empty when symmetry is off or inapplicable.
   std::vector<std::vector<std::size_t>> groups_;
   StateMask grouped_mask_;
-  StepMemoFor<kShared, CaStepResult> memo_;
   Counter<kShared> fired_elements_{0};
-  Counter<kShared> pruned_subsets_{0};
   Counter<kShared> symmetry_merged_{0};
 };
 

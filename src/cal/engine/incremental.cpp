@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <unordered_map>
+#include <span>
 #include <utility>
 
 #include "cal/engine/cal_policy.hpp"
@@ -22,11 +22,12 @@ std::size_t local_index(const std::vector<std::size_t>& ids, std::size_t gid) {
 }
 
 /// One window of the streaming search: the CAL policy over the *active*
-/// operations only (local indices), with two extensions — multiple roots
-/// (one per frontier entry, remembered in Node::root for witness stitching)
-/// and pending-return tracking (Node::pending_rets records the value the
-/// spec chose for each fired-while-pending operation, and participates in
-/// the node encoding so explanations differing only in a guess stay
+/// operations only (local indices), enumerating successors with the same
+/// CalExpansion, with two extensions — multiple roots (one per frontier
+/// entry, remembered in Node::root for witness stitching) and
+/// pending-return tracking (Node::pending_rets records the value the spec
+/// chose for each fired-while-pending operation, and participates in the
+/// node encoding so explanations differing only in a guess stay
 /// distinct). Goals — nodes with every completed active operation fired —
 /// are collect-mode sinks: their pending-only continuations stay reachable
 /// from them in the next window, so not expanding them loses nothing.
@@ -49,7 +50,10 @@ class StreamPolicy {
   StreamPolicy(const std::vector<OpRecord>& ops,
                const std::vector<std::size_t>& ids, const CaSpec& spec,
                const std::vector<FrontierEntry>& frontier)
-      : ops_(ops), ids_(ids), spec_(spec), frontier_(frontier), index_(ops) {}
+      : ops_(ops),
+        ids_(ids),
+        frontier_(frontier),
+        expansion_(ops, spec, /*pending_candidates=*/true) {}
 
   std::vector<Node> roots() const {
     const std::size_t words = (ops_.size() + 63) / 64;
@@ -76,7 +80,7 @@ class StreamPolicy {
   }
 
   bool is_goal(const Node& n) const {
-    return n.fired_completed == index_.completed();
+    return n.fired_completed == expansion_.index().completed();
   }
 
   void encode(const Node& n, NodeKey& out) const {
@@ -91,116 +95,56 @@ class StreamPolicy {
   void on_enter(const Node&, std::size_t) {}
   bool cancelled() const { return false; }
 
+  /// Pending operations are always candidates mid-stream, even with
+  /// complete_pending off: an operation pending *now* may complete later,
+  /// and the batch verdict (complete_pending=false) only excludes ops that
+  /// never complete. finish() discards explanations that fired one.
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {
-    // Pending operations are always candidates mid-stream, even with
-    // complete_pending off: an operation pending *now* may complete later,
-    // and the batch verdict (complete_pending=false) only excludes ops
-    // that never complete. finish() discards explanations that fired one.
-    std::unordered_map<Symbol, std::vector<std::size_t>> by_object;
-    for (std::size_t i = 0; i < ops_.size(); ++i) {
-      if (!index_.enabled(i, node.fired)) continue;
-      by_object[ops_[i].op.object].push_back(i);
-    }
-
-    std::vector<std::size_t> chosen;
-    std::vector<Operation> chosen_ops;
-    for (const auto& [object, candidates] : by_object) {
-      const std::size_t cap =
-          spec_.max_element_size() == 0
-              ? candidates.size()
-              : std::min(spec_.max_element_size(), candidates.size());
-      for (std::size_t size = cap; size >= 1; --size) {
-        chosen.clear();
-        chosen_ops.clear();
-        if (!try_subsets(node, object, candidates, 0, size, chosen,
-                         chosen_ops, emit)) {
-          return;
-        }
-      }
-    }
+    expansion_.each_element(
+        node.state, node.fired,
+        [&](std::span<const std::size_t> chosen, std::size_t newly_completed,
+            const std::vector<CaStepResult>& outcomes) {
+          for (const CaStepResult& sr : outcomes) {
+            Node next{sr.next, node.fired,
+                      node.fired_completed + newly_completed,
+                      node.pending_rets, node.root};
+            for (std::size_t i : chosen) mask_set(next.fired, i);
+            commit_pending_returns(chosen, sr.element, next.pending_rets);
+            if (!emit(std::move(next), CaElement(sr.element))) return false;
+          }
+          return true;
+        });
   }
 
  private:
-  template <typename Emit>
-  bool try_subsets(const Node& node, Symbol object,
-                   const std::vector<std::size_t>& candidates,
-                   std::size_t from, std::size_t remaining,
-                   std::vector<std::size_t>& chosen,
-                   std::vector<Operation>& chosen_ops, Emit& emit) {
-    if (remaining == 0) {
-      return fire(node, object, chosen, chosen_ops, emit);
-    }
-    for (std::size_t i = from; i + remaining <= candidates.size(); ++i) {
-      chosen.push_back(candidates[i]);
-      chosen_ops.push_back(ops_[candidates[i]].op);
-      bool keep_going = true;
-      if (spec_.compatible(object, chosen_ops)) {
-        keep_going = try_subsets(node, object, candidates, i + 1,
-                                 remaining - 1, chosen, chosen_ops, emit);
-      }
-      chosen.pop_back();
-      chosen_ops.pop_back();
-      if (!keep_going) return false;
-    }
-    return true;
-  }
-
-  const std::vector<CaStepResult>& stepped(
-      const SpecState& state, Symbol object,
-      const std::vector<std::size_t>& chosen,
-      const std::vector<Operation>& element_ops) {
-    StepKey key;
-    encode_cal_step_key(state, object, chosen, key);
-    if (const auto* cached = memo_.find(key)) return *cached;
-    return memo_.insert(std::move(key),
-                        spec_.step(state, object, element_ops));
-  }
-
-  template <typename Emit>
-  bool fire(const Node& node, Symbol object,
-            const std::vector<std::size_t>& chosen,
-            const std::vector<Operation>& element_ops, Emit& emit) {
-    std::size_t newly_completed = 0;
+  /// Commits to the return values the spec chose for the element's
+  /// pending participants (matched by thread: co-fired operations overlap
+  /// in real time, so their threads are distinct).
+  void commit_pending_returns(
+      std::span<const std::size_t> chosen, const CaElement& element,
+      std::vector<std::pair<std::uint32_t, Value>>& pending_rets) const {
     for (std::size_t i : chosen) {
-      if (!ops_[i].is_pending()) ++newly_completed;
-    }
-    for (const CaStepResult& sr :
-         stepped(node.state, object, chosen, element_ops)) {
-      Node next{sr.next, node.fired, node.fired_completed + newly_completed,
-                node.pending_rets, node.root};
-      for (std::size_t i : chosen) mask_set(next.fired, i);
-      // Commit to the return values the spec chose for pending
-      // participants (matched by thread: co-fired operations overlap in
-      // real time, so their threads are distinct).
-      for (std::size_t i : chosen) {
-        if (!ops_[i].is_pending()) continue;
-        for (const Operation& op : sr.element.ops()) {
-          if (op.tid != ops_[i].op.tid || !op.ret.has_value()) continue;
-          const auto entry =
-              std::make_pair(static_cast<std::uint32_t>(i), *op.ret);
-          next.pending_rets.insert(
-              std::upper_bound(next.pending_rets.begin(),
-                               next.pending_rets.end(), entry,
-                               [](const auto& a, const auto& b) {
-                                 return a.first < b.first;
-                               }),
-              entry);
-          break;
-        }
+      if (!ops_[i].is_pending()) continue;
+      for (const Operation& op : element.ops()) {
+        if (op.tid != ops_[i].op.tid || !op.ret.has_value()) continue;
+        const auto entry = std::make_pair(static_cast<std::uint32_t>(i), *op.ret);
+        pending_rets.insert(
+            std::upper_bound(pending_rets.begin(), pending_rets.end(), entry,
+                             [](const auto& a, const auto& b) {
+                               return a.first < b.first;
+                             }),
+            entry);
+        break;
       }
-      if (!emit(std::move(next), CaElement(sr.element))) return false;
     }
-    return true;
   }
 
   const std::vector<OpRecord>& ops_;
   const std::vector<std::size_t>& ids_;
-  const CaSpec& spec_;
   const std::vector<FrontierEntry>& frontier_;
-  HistoryIndex index_;
-  StepMemoFor<kShared, CaStepResult> memo_;
+  CalExpansion<kShared> expansion_;
 };
 
 }  // namespace

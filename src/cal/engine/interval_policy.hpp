@@ -83,13 +83,16 @@ class IntervalPolicy {
   void expand(const Node& node, std::size_t /*depth*/,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {
     // Rounds are per-object: participants are the currently open operations
-    // of the object plus any newly starting ones.
+    // of the object plus any newly starting ones. An operation may start
+    // when every real-time predecessor has *closed* (its response precedes
+    // our invocation in any explanation).
     std::unordered_map<Symbol, std::vector<std::size_t>> startable;
     std::unordered_map<Symbol, std::vector<std::size_t>> open_by_object;
+    const std::size_t closed_prefix = index_.fired_prefix(node.closed);
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       if (mask_test(node.open, i)) {
         open_by_object[ops_[i].op.object].push_back(i);
-      } else if (may_start(i, node)) {
+      } else if (index_.enabled(i, node.closed, closed_prefix)) {
         if (ops_[i].is_pending() && !complete_pending_) continue;
         startable[ops_[i].op.object].push_back(i);
       }
@@ -142,16 +145,6 @@ class IntervalPolicy {
   }
 
  private:
-  // An operation may start when every completed real-time predecessor has
-  // *closed* (its response precedes our invocation in any explanation).
-  bool may_start(std::size_t i, const Node& node) const {
-    if (mask_test(node.closed, i) || mask_test(node.open, i)) return false;
-    for (std::size_t j : index_.preds(i)) {
-      if (!mask_test(node.closed, j)) return false;
-    }
-    return true;
-  }
-
   /// spec_.round through the memo. The participants' op indices plus their
   /// (starts, ends) flags pin the query exactly — the round's outcome
   /// never depends on the round number or the masks. The returned
@@ -160,18 +153,18 @@ class IntervalPolicy {
       const SpecState& state, Symbol object,
       const std::vector<std::size_t>& participants,
       const std::vector<IntervalOpRef>& refs) {
-    StepKey key;
-    key.reserve(2 + participants.size() + state.size());
-    key.push_back(static_cast<std::int64_t>(object.id()));
-    key.push_back(static_cast<std::int64_t>(participants.size()));
+    ScratchLease<StepKey> key;
+    key->clear();
+    key->push_back(static_cast<std::int64_t>(object.id()));
+    key->push_back(static_cast<std::int64_t>(participants.size()));
     for (std::size_t b = 0; b < participants.size(); ++b) {
-      key.push_back(static_cast<std::int64_t>(
+      key->push_back(static_cast<std::int64_t>(
           (participants[b] << 2) | (refs[b].starts ? 1u : 0u) |
           (refs[b].ends ? 2u : 0u)));
     }
-    key.insert(key.end(), state.begin(), state.end());
-    if (const auto* cached = memo_.find(key)) return *cached;
-    return memo_.insert(std::move(key), spec_.round(state, object, refs));
+    key->insert(key->end(), state.begin(), state.end());
+    return memo_.find_or_insert(
+        *key, [&] { return spec_.round(state, object, refs); });
   }
 
   /// False = the driver asked to stop.

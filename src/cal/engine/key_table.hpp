@@ -18,7 +18,9 @@
 //     compares stored hashes first and touches a stored key only on a hash
 //     match; growth re-slots entries from their stored hashes;
 //   * numbers keys densely in insertion order (0, 1, 2, ...), so callers
-//     can attach a payload by indexing a vector with the returned id.
+//     can attach a payload by indexing a vector with the returned id. The
+//     spec-step memo (cal/step_cache.hpp) builds its payload in the same
+//     call that inserts the key.
 //
 // An empty table allocates nothing. Not thread-safe: the parallel driver
 // shards it behind striped locks (cal/parallel/sharded_set.hpp).
@@ -28,6 +30,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "cal/spec.hpp"
@@ -53,11 +56,30 @@ class KeyTable {
   /// As above, with `hash == hash_state(key)` computed by the caller (the
   /// sharded table picks the shard from the same hash).
   Insert insert(const Key& key, std::uint64_t hash) {
+    return insert(key, hash, [] {});
+  }
+
+  /// As above, running `on_miss()` when the key is absent, before the key
+  /// is stored: a caller attaching payloads by id appends the new key's
+  /// payload there, and a throwing `on_miss` leaves the table as it was.
+  /// `on_miss` must not touch this table.
+  template <typename OnMiss>
+  Insert insert(const Key& key, std::uint64_t hash, OnMiss&& on_miss) {
     if (2 * (size_ + 1) > capacity()) grow();
     Slot* slot = probe(key, hash);
     if (slot->at != nullptr) return {id_of(slot->at), false};
+    on_miss();
     *slot = Slot{hash, store(key)};
     return {size_++, true};
+  }
+
+  /// `key`'s id, or std::nullopt when absent (`hash == hash_state(key)`).
+  [[nodiscard]] std::optional<std::size_t> find(const Key& key,
+                                                std::uint64_t hash) const {
+    if (size_ == 0) return std::nullopt;
+    const Slot* slot = probe(key, hash);
+    if (slot->at == nullptr) return std::nullopt;
+    return id_of(slot->at);
   }
 
   [[nodiscard]] bool contains(const Key& key) const {

@@ -57,9 +57,10 @@ class LinPolicy {
   template <typename Emit>
   void expand(const Node& node, std::size_t /*depth*/,
               const std::vector<Label>& /*prefix*/, Emit&& emit) {
+    const std::size_t prefix = index_.fired_prefix(node.fired);
     for (std::size_t i = 0; i < ops_.size(); ++i) {
       if (ops_[i].is_pending() && !complete_pending_) continue;
-      if (!index_.enabled(i, node.fired)) continue;
+      if (!index_.enabled(i, node.fired, prefix)) continue;
 
       const OpRecord& rec = ops_[i];
       for (const SeqStepResult& sr : stepped(node.state, i)) {
@@ -81,15 +82,14 @@ class LinPolicy {
  private:
   const std::vector<SeqStepResult>& stepped(const SpecState& state,
                                             std::size_t op_index) {
-    StepKey key;
-    key.reserve(1 + state.size());
-    key.push_back(static_cast<std::int64_t>(op_index));
-    key.insert(key.end(), state.begin(), state.end());
-    if (const auto* cached = memo_.find(key)) return *cached;
-    const OpRecord& rec = ops_[op_index];
-    return memo_.insert(std::move(key),
-                        spec_.step(state, rec.op.tid, rec.op.object,
-                                   rec.op.method, rec.op.arg, rec.op.ret));
+    ScratchLease<StepKey> key;
+    key->clear();
+    key->push_back(static_cast<std::int64_t>(op_index));
+    key->insert(key->end(), state.begin(), state.end());
+    return memo_.find_or_insert(*key, [&] {
+      const Operation& op = ops_[op_index].op;
+      return spec_.step(state, op.tid, op.object, op.method, op.arg, op.ret);
+    });
   }
 
   const std::vector<OpRecord>& ops_;

@@ -3,7 +3,7 @@
 //
 // Each policy is a template over `bool kShared`: the false
 // instantiation is what the sequential driver runs (plain counters, the
-// node-based StepMemo), the true instantiation is safe to share across the
+// flat StepMemo), the true instantiation is safe to share across the
 // parallel driver's workers (relaxed atomic counters, the striped-lock
 // ShardedStepMemo). These aliases keep that choice in one place so the
 // policies themselves contain only search semantics.
@@ -12,6 +12,7 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <type_traits>
 #include <vector>
 
@@ -21,8 +22,8 @@
 
 namespace cal::engine {
 
-/// The spec-step memo matching the driver: per-search node-based map for
-/// the sequential driver, sharded striped-lock map for the parallel one.
+/// The spec-step memo matching the driver: per-search flat table for the
+/// sequential driver, sharded striped-lock tables for the parallel one.
 /// Both hand out references that stay valid across the recursion.
 template <bool kShared, typename Outcome>
 using StepMemoFor =
@@ -73,6 +74,44 @@ template <typename T>
 T read_counter(const std::atomic<T>& c) noexcept {
   return c.load(std::memory_order_relaxed);
 }
+
+/// A scratch object borrowed from a per-thread stack for one scope. Nested
+/// leases on one thread — an expand() whose emit recurses into the next
+/// expand(), or another search run from a search's callback — take
+/// distinct objects, and every thread (so every parallel worker) has its
+/// own stack, so no two live leases share scratch. Objects stay on the
+/// stack for reuse: once a thread has reached its deepest nesting, leases
+/// allocate nothing, and buffers inside keep their capacity.
+template <typename T>
+class ScratchLease {
+ public:
+  ScratchLease() : stack_(&stack()) {
+    if (stack_->depth == stack_->items.size()) {
+      stack_->items.push_back(std::make_unique<T>());
+    }
+    item_ = stack_->items[stack_->depth++].get();
+  }
+  ~ScratchLease() { --stack_->depth; }
+
+  ScratchLease(const ScratchLease&) = delete;
+  ScratchLease& operator=(const ScratchLease&) = delete;
+
+  T& operator*() const noexcept { return *item_; }
+  T* operator->() const noexcept { return item_; }
+
+ private:
+  struct Stack {
+    std::vector<std::unique_ptr<T>> items;
+    std::size_t depth = 0;
+  };
+  static Stack& stack() {
+    thread_local Stack s;
+    return s;
+  }
+
+  Stack* stack_;
+  T* item_ = nullptr;
+};
 
 /// The (spec state, fired/closed masks...) node encoding every checker
 /// policy dedups on: a length-prefixed state followed by the mask words.

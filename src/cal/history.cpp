@@ -9,6 +9,60 @@
 
 namespace cal {
 
+namespace {
+
+/// One value per thread id for a single pass over a history: a flat
+/// open-addressing table (linear probing, power-of-two capacity, at most
+/// half full) instead of a node-based map's allocation per thread. Every
+/// thread's value starts as kNone.
+class ThreadTable {
+ public:
+  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+
+  std::size_t& operator[](ThreadId tid) {
+    if (2 * (size_ + 1) > slots_.size()) grow();
+    Slot& s = probe(tid);
+    if (!s.used) {
+      s = Slot{tid, true, kNone};
+      ++size_;
+    }
+    return s.value;
+  }
+
+ private:
+  struct Slot {
+    ThreadId tid = 0;
+    bool used = false;
+    std::size_t value = kNone;
+  };
+
+  Slot& probe(ThreadId tid) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = (tid * 0x9e3779b9u) & mask;
+    while (slots_[i].used && slots_[i].tid != tid) i = (i + 1) & mask;
+    return slots_[i];
+  }
+
+  void grow() {
+    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
+    old.swap(slots_);
+    for (const Slot& s : old) {
+      if (s.used) probe(s.tid) = s;
+    }
+  }
+
+  std::vector<Slot> slots_;
+  std::size_t size_ = 0;
+};
+
+std::size_t invocations(const std::vector<Action>& actions) {
+  return static_cast<std::size_t>(
+      std::count_if(actions.begin(), actions.end(),
+                    [](const Action& a) { return a.is_invoke(); }));
+}
+
+}  // namespace
+
 std::string Action::to_string() const {
   std::string out = "(t" + std::to_string(tid) + ", ";
   if (is_invoke()) {
@@ -70,19 +124,20 @@ bool History::sequential() const {
 }
 
 bool History::well_formed() const {
-  // Per-thread state: whether an invocation is open and on what.
-  std::unordered_map<ThreadId, std::optional<Action>> open;
-  for (const Action& a : actions_) {
-    auto& slot = open[a.tid];
+  // Per-thread state: the index of the thread's open invocation, if any.
+  ThreadTable open;
+  for (std::size_t i = 0; i < actions_.size(); ++i) {
+    const Action& a = actions_[i];
+    std::size_t& slot = open[a.tid];
     if (a.is_invoke()) {
-      if (slot.has_value()) return false;  // nested invocation
-      slot = a;
+      if (slot != ThreadTable::kNone) return false;  // nested invocation
+      slot = i;
     } else {
-      if (!slot.has_value() || slot->object != a.object ||
-          slot->method != a.method) {
+      if (slot == ThreadTable::kNone || actions_[slot].object != a.object ||
+          actions_[slot].method != a.method) {
         return false;  // response without (matching) open invocation
       }
-      slot.reset();
+      slot = ThreadTable::kNone;
     }
   }
   return true;
@@ -90,32 +145,30 @@ bool History::well_formed() const {
 
 bool History::complete() const {
   if (!well_formed()) return false;
-  std::unordered_map<ThreadId, int> open;
-  for (const Action& a : actions_) {
-    open[a.tid] += a.is_invoke() ? 1 : -1;
-  }
-  return std::all_of(open.begin(), open.end(),
-                     [](const auto& kv) { return kv.second == 0; });
+  // Well-formed: each thread alternates inv/res, so the history is
+  // complete iff it has as many responses as invocations.
+  return 2 * invocations(actions_) == actions_.size();
 }
 
 std::vector<OpRecord> History::operations() const {
   std::vector<OpRecord> out;
+  out.reserve(invocations(actions_));
   // Index into `out` of each thread's open operation.
-  std::unordered_map<ThreadId, std::size_t> open;
+  ThreadTable open;
   for (std::size_t i = 0; i < actions_.size(); ++i) {
     const Action& a = actions_[i];
+    std::size_t& slot = open[a.tid];
     if (a.is_invoke()) {
-      open[a.tid] = out.size();
+      slot = out.size();
       out.push_back(OpRecord{
           Operation::pending(a.tid, a.object, a.method, a.payload), i,
           std::nullopt});
     } else {
-      auto it = open.find(a.tid);
-      if (it == open.end()) continue;  // ill-formed; callers check
-      OpRecord& rec = out[it->second];
+      if (slot == ThreadTable::kNone) continue;  // ill-formed; callers check
+      OpRecord& rec = out[slot];
       rec.op.ret = a.payload;
       rec.res_index = i;
-      open.erase(it);
+      slot = ThreadTable::kNone;
     }
   }
   return out;
@@ -124,15 +177,16 @@ std::vector<OpRecord> History::operations() const {
 History History::drop_pending() const {
   // An invocation is pending iff its thread has no later matching response.
   std::vector<bool> keep(actions_.size(), true);
-  std::unordered_map<ThreadId, std::size_t> open;
+  ThreadTable open;
   for (std::size_t i = 0; i < actions_.size(); ++i) {
     const Action& a = actions_[i];
+    std::size_t& slot = open[a.tid];
     if (a.is_invoke()) {
-      open[a.tid] = i;
+      slot = i;
       keep[i] = false;  // provisionally pending
-    } else if (auto it = open.find(a.tid); it != open.end()) {
-      keep[it->second] = true;
-      open.erase(it);
+    } else if (slot != ThreadTable::kNone) {
+      keep[slot] = true;
+      slot = ThreadTable::kNone;
     }
   }
   History out;

@@ -7,6 +7,11 @@
 // one shared order: a single sweep over the operations in invocation order
 // assigns every i its prefix length. Construction is O(n log n) and the
 // index stores O(n) words, replacing the old all-pairs O(n²) scan.
+//
+// The same prefix property decides the enabled set of a search node in one
+// pass: if the first k operations of the response-sorted order have all
+// fired (k = fired_prefix(mask)), an unfired operation i is enabled iff
+// pred_count(i) <= k.
 #pragma once
 
 #include <algorithm>
@@ -65,19 +70,30 @@ class HistoryIndex {
     }
   }
 
-  /// Real-time predecessors of operation i, as indices into the checker's
-  /// operation array (a prefix of the response-sorted order).
-  [[nodiscard]] std::span<const std::size_t> preds(std::size_t i) const {
-    return {by_res_.data(), pred_count_[i]};
+  /// The completed operations in response order; every predecessor list
+  /// is a prefix of it.
+  [[nodiscard]] std::span<const std::size_t> by_response() const {
+    return by_res_;
   }
 
-  /// True iff i is unfired and every real-time predecessor has fired.
-  [[nodiscard]] bool enabled(std::size_t i, const StateMask& mask) const {
-    if (mask_test(mask, i)) return false;
-    for (std::size_t j : preds(i)) {
-      if (!mask_test(mask, j)) return false;
-    }
-    return true;
+  /// Length of i's predecessor list.
+  [[nodiscard]] std::size_t pred_count(std::size_t i) const {
+    return pred_count_[i];
+  }
+
+  /// The longest prefix of the response-sorted order whose operations have
+  /// all fired in `mask`.
+  [[nodiscard]] std::size_t fired_prefix(const StateMask& mask) const {
+    std::size_t k = 0;
+    while (k < by_res_.size() && mask_test(mask, by_res_[k])) ++k;
+    return k;
+  }
+
+  /// True iff i is unfired and every real-time predecessor has fired, with
+  /// `prefix == fired_prefix(mask)`.
+  [[nodiscard]] bool enabled(std::size_t i, const StateMask& mask,
+                             std::size_t prefix) const {
+    return !mask_test(mask, i) && pred_count_[i] <= prefix;
   }
 
   [[nodiscard]] std::size_t completed() const noexcept { return completed_; }

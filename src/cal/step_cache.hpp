@@ -9,12 +9,15 @@
 // by the exact query therefore trades one hash probe for re-running the
 // spec's (allocating) transition enumeration.
 //
-// Keys are flat `std::vector<int64_t>` encodings built by each checker:
-// operations are identified by their index in the search's fixed operation
-// array, so the key pins the query exactly without serializing Values.
-// Cached outcome vectors are never modified after insertion and the maps
-// are node-based, so returned references stay valid across later inserts —
-// callers may hold them through recursion.
+// Keys are flat `std::vector<int64_t>` encodings built by each checker
+// into a reusable buffer: operations are identified by their index in the
+// search's fixed operation array, so the key pins the query exactly
+// without serializing Values. A lookup is one find-or-insert on the flat
+// exact-key table (cal/engine/key_table.hpp): one hash, and the key is
+// copied into the table's arena only on a miss. The outcome vectors live
+// in append-only chunks indexed by the key's dense id; they are never
+// modified or moved after insertion, so returned references stay valid
+// across later inserts — callers may hold them through recursion.
 #pragma once
 
 #include <atomic>
@@ -22,48 +25,59 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "cal/engine/key_table.hpp"
 #include "cal/spec.hpp"
 
 namespace cal {
 
 using StepKey = std::vector<std::int64_t>;
 
-struct StepKeyHash {
-  std::size_t operator()(const StepKey& k) const noexcept {
-    return hash_state(k);
+/// Append-only storage whose elements never move: fixed-size chunks,
+/// allocated as they fill.
+template <typename T>
+class StableStore {
+ public:
+  static constexpr std::size_t kChunk = 64;
+
+  [[nodiscard]] const T& operator[](std::size_t i) const {
+    return chunks_[i / kChunk][i % kChunk];
   }
+
+  void push_back(T&& v) {
+    if (size_ % kChunk == 0) chunks_.push_back(std::make_unique<T[]>(kChunk));
+    chunks_[size_ / kChunk][size_ % kChunk] = std::move(v);
+    ++size_;
+  }
+
+ private:
+  std::vector<std::unique_ptr<T[]>> chunks_;
+  std::size_t size_ = 0;
 };
 
 /// Single-threaded memo table for the sequential engines.
 template <typename Outcome>
 class StepMemo {
  public:
-  /// The cached outcomes for `key`, or nullptr on a miss.
-  [[nodiscard]] const std::vector<Outcome>* find(const StepKey& key) {
-    auto it = map_.find(key);
-    if (it == map_.end()) {
-      ++misses_;
-      return nullptr;
-    }
-    ++hits_;
-    return &it->second;
-  }
-
-  /// Stores `outcomes` under `key` and returns the stored vector.
-  const std::vector<Outcome>& insert(StepKey&& key,
-                                     std::vector<Outcome>&& outcomes) {
-    return map_.emplace(std::move(key), std::move(outcomes)).first->second;
+  /// The outcomes cached under `key`; on a miss, stores and returns
+  /// `compute()` (a std::vector<Outcome>).
+  template <typename Compute>
+  const std::vector<Outcome>& find_or_insert(const StepKey& key,
+                                             Compute&& compute) {
+    const auto [id, inserted] = table_.insert(
+        key, hash_state(key), [&] { outcomes_.push_back(compute()); });
+    ++(inserted ? misses_ : hits_);
+    return outcomes_[id];
   }
 
   [[nodiscard]] std::size_t hits() const noexcept { return hits_; }
   [[nodiscard]] std::size_t misses() const noexcept { return misses_; }
 
  private:
-  std::unordered_map<StepKey, std::vector<Outcome>, StepKeyHash> map_;
+  engine::KeyTable table_;
+  StableStore<std::vector<Outcome>> outcomes_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
 };
@@ -71,8 +85,9 @@ class StepMemo {
 /// Striped-lock memo table shared by the parallel engine's workers. Entries
 /// are immutable once inserted and never erased; a reader that found an
 /// entry under the shard lock may keep the reference after unlocking (the
-/// writer's insert happened-before via the same mutex). Racing computes of
-/// the same key are benign: the first insert wins, later ones are dropped.
+/// writer's insert happened-before via the same mutex). A miss computes
+/// outside the lock, so racing computes of the same key are benign: the
+/// first insert wins, later ones are dropped.
 template <typename Outcome>
 class ShardedStepMemo {
  public:
@@ -83,24 +98,25 @@ class ShardedStepMemo {
     shards_ = std::make_unique<Shard[]>(n);
   }
 
-  [[nodiscard]] const std::vector<Outcome>* find(const StepKey& key) {
-    Shard& shard = shards_[shard_of(key)];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(key);
-    if (it == shard.map.end()) {
-      misses_.fetch_add(1, std::memory_order_relaxed);
-      return nullptr;
+  template <typename Compute>
+  const std::vector<Outcome>& find_or_insert(const StepKey& key,
+                                             Compute&& compute) {
+    const std::uint64_t hash = hash_state(key);
+    Shard& shard = shards_[(hash >> 48 ^ hash >> 24) & mask_];
+    {
+      std::lock_guard<std::mutex> lock(shard.mu);
+      if (const auto id = shard.table.find(key, hash)) {
+        hits_.fetch_add(1, std::memory_order_relaxed);
+        return shard.outcomes[*id];
+      }
     }
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return &it->second;
-  }
-
-  const std::vector<Outcome>& insert(StepKey&& key,
-                                     std::vector<Outcome>&& outcomes) {
-    Shard& shard = shards_[shard_of(key)];
+    misses_.fetch_add(1, std::memory_order_relaxed);
+    std::vector<Outcome> computed = compute();
     std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.map.emplace(std::move(key), std::move(outcomes))
-        .first->second;
+    const auto inserted = shard.table.insert(key, hash, [&] {
+      shard.outcomes.push_back(std::move(computed));
+    });
+    return shard.outcomes[inserted.id];
   }
 
   [[nodiscard]] std::size_t hits() const noexcept {
@@ -113,13 +129,9 @@ class ShardedStepMemo {
  private:
   struct alignas(64) Shard {
     std::mutex mu;
-    std::unordered_map<StepKey, std::vector<Outcome>, StepKeyHash> map;
+    engine::KeyTable table;
+    StableStore<std::vector<Outcome>> outcomes;
   };
-
-  [[nodiscard]] std::size_t shard_of(const StepKey& key) const noexcept {
-    const std::size_t h = hash_state(key);
-    return (h >> 48 ^ h >> 24) & mask_;
-  }
 
   std::unique_ptr<Shard[]> shards_;
   std::size_t mask_ = 0;

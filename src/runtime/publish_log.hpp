@@ -36,18 +36,34 @@
 // precisely that; see runtime/reclaim/ebr.cpp). size()'s acquire on next_ only
 // tightens the prefix bound readers start from; staleness there delays,
 // never corrupts, a poll.
+//
+// Storage: the slots are one zero-filled allocation (calloc), so building
+// a log constructs nothing and touches no page — a 2^20-slot Recorder
+// costs an mmap, not a million item constructors. A slot holds raw bytes
+// for its item beside its ready flag (a plain bool accessed through
+// std::atomic_ref; zero is "not ready"). The append that claims a slot
+// constructs the item in place, and reset() and the destructor destroy
+// exactly the published items. Keeping the flag beside its item, rather
+// than in a separate flag array, keeps concurrent writers off each other's
+// cache lines.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <vector>
+#include <cstdlib>
+#include <memory>
+#include <new>
+#include <utility>
 
 namespace cal::runtime {
 
 template <typename T>
 class PublishLog {
  public:
-  explicit PublishLog(std::size_t capacity) : slots_(capacity) {}
+  explicit PublishLog(std::size_t capacity)
+      : slots_(allocate(capacity)), capacity_(capacity) {}
+
+  ~PublishLog() { destroy_published(); }
 
   PublishLog(const PublishLog&) = delete;
   PublishLog& operator=(const PublishLog&) = delete;
@@ -56,21 +72,21 @@ class PublishLog {
   /// counts) when the log is full.
   void append(T item) {
     const std::size_t i = next_.fetch_add(1, std::memory_order_relaxed);
-    if (i >= slots_.size()) {
+    if (i >= capacity_) {
       dropped_.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    slots_[i].item = std::move(item);
-    slots_[i].ready.store(true, std::memory_order_release);
+    ::new (static_cast<void*>(slots_[i].bytes)) T(std::move(item));
+    slots_[i].ready_ref().store(true, std::memory_order_release);
   }
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return slots_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
 
   /// Claimed slots, clamped to capacity. An upper bound on the published
   /// prefix while producers are running; exact once they have quiesced.
   [[nodiscard]] std::size_t size() const noexcept {
     const std::size_t n = next_.load(std::memory_order_acquire);
-    return n < slots_.size() ? n : slots_.size();
+    return n < capacity_ ? n : capacity_;
   }
 
   /// Appends dropped because the log was full.
@@ -84,17 +100,15 @@ class PublishLog {
   void snapshot_prefix(Sink&& sink) const {
     const std::size_t n = size();
     for (std::size_t i = 0; i < n; ++i) {
-      if (!slots_[i].ready.load(std::memory_order_acquire)) break;
-      sink(slots_[i].item);
+      if (!slots_[i].ready_ref().load(std::memory_order_acquire)) break;
+      sink(slots_[i].item());
     }
   }
 
-  /// Not thread-safe against concurrent producers (callers quiesce first).
+  /// Destroys the published items and empties the log. Not thread-safe
+  /// against concurrent producers (callers quiesce first).
   void reset() {
-    const std::size_t n = size();
-    for (std::size_t i = 0; i < n; ++i) {
-      slots_[i].ready.store(false, std::memory_order_relaxed);
-    }
+    destroy_published();
     dropped_.store(0, std::memory_order_relaxed);
     next_.store(0, std::memory_order_release);
   }
@@ -115,8 +129,9 @@ class PublishLog {
       std::size_t consumed = 0;
       const std::size_t n = log_->size();
       while (pos_ < n && (max == 0 || consumed < max)) {
-        if (!log_->slots_[pos_].ready.load(std::memory_order_acquire)) break;
-        sink(log_->slots_[pos_].item);
+        const Slot& slot = log_->slots_[pos_];
+        if (!slot.ready_ref().load(std::memory_order_acquire)) break;
+        sink(slot.item());
         ++pos_;
         ++consumed;
       }
@@ -140,12 +155,48 @@ class PublishLog {
   [[nodiscard]] Cursor cursor() const { return Cursor(*this); }
 
  private:
+  /// Trivial, so zero-filled memory is a valid array of empty slots.
   struct Slot {
-    T item;
-    std::atomic<bool> ready{false};
+    alignas(T) unsigned char bytes[sizeof(T)];
+    bool ready;  ///< only ever accessed through ready_ref()
+
+    [[nodiscard]] std::atomic_ref<bool> ready_ref() const noexcept {
+      return std::atomic_ref<bool>(const_cast<bool&>(ready));
+    }
+    [[nodiscard]] const T& item() const noexcept {
+      return *std::launder(reinterpret_cast<const T*>(bytes));
+    }
+    [[nodiscard]] T& item() noexcept {
+      return *std::launder(reinterpret_cast<T*>(bytes));
+    }
+  };
+  static_assert(alignof(Slot) <= alignof(std::max_align_t),
+                "calloc'd slots must be suitably aligned");
+
+  struct Free {
+    void operator()(Slot* p) const noexcept { std::free(p); }
   };
 
-  std::vector<Slot> slots_;
+  static std::unique_ptr<Slot[], Free> allocate(std::size_t capacity) {
+    if (capacity == 0) return nullptr;
+    auto* p = static_cast<Slot*>(std::calloc(capacity, sizeof(Slot)));
+    if (p == nullptr) throw std::bad_alloc();
+    return std::unique_ptr<Slot[], Free>(p);
+  }
+
+  /// Destroys every published item and clears its flag (quiesced only).
+  void destroy_published() noexcept {
+    const std::size_t n = size();
+    for (std::size_t i = 0; i < n; ++i) {
+      Slot& slot = slots_[i];
+      if (!slot.ready_ref().load(std::memory_order_relaxed)) continue;
+      slot.item().~T();
+      slot.ready_ref().store(false, std::memory_order_relaxed);
+    }
+  }
+
+  std::unique_ptr<Slot[], Free> slots_;
+  std::size_t capacity_;
   std::atomic<std::size_t> next_{0};
   std::atomic<std::size_t> dropped_{0};
 };

@@ -10,9 +10,12 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <tuple>
 #include <vector>
 
 #include "cal/cal_checker.hpp"
+#include "cal/engine/cal_policy.hpp"
+#include "cal/engine/search_engine.hpp"
 #include "cal/interval_lin.hpp"
 #include "cal/lin_checker.hpp"
 #include "cal/specs/exchanger_spec.hpp"
@@ -308,6 +311,87 @@ TEST(CalEngineEquivalence, SequentialWitnessIsDedupModeInvariant) {
     EXPECT_EQ(a.visited_states, b.visited_states);
     EXPECT_EQ(a.fired_elements, b.fired_elements);
   }
+}
+
+// ---------------------------------------------------------------------------
+// Nested searches. The CAL expansion keeps its per-node scratch in frames
+// leased from a per-thread stack, so a search started from inside another
+// search on the same thread — from a spec step, or from a collect sink —
+// must leave the outer search's enumeration untouched.
+
+/// The exchanger spec, running a whole inner CAL check on every step.
+class NestingSpec final : public CaSpec {
+ public:
+  NestingSpec(const CaSpec& inner, History nested)
+      : inner_(inner), nested_(std::move(nested)) {}
+
+  SpecState initial() const override { return inner_.initial(); }
+  std::size_t max_element_size() const override {
+    return inner_.max_element_size();
+  }
+  std::vector<CaStepResult> step(
+      const SpecState& state, Symbol object,
+      const std::vector<Operation>& ops) const override {
+    EXPECT_TRUE(CalChecker(inner_).check(nested_).ok);
+    return inner_.step(state, object, ops);
+  }
+  bool compatible(Symbol object,
+                  const std::vector<Operation>& ops) const override {
+    return inner_.compatible(object, ops);
+  }
+
+ private:
+  const CaSpec& inner_;
+  History nested_;
+};
+
+TEST(CalEngineEquivalence, NestedCheckInsideSpecStepLeavesOuterIntact) {
+  std::mt19937 rng(7);
+  ExchangerSpec spec(kE, kEx);
+  const History nested = wide_overlap_history(5, false);
+  NestingSpec nesting(spec, nested);
+  for (unsigned seed = 0; seed < 6; ++seed) {
+    rng.seed(seed);
+    const History h = random_exchanger_history(rng, 4, 3);
+    for (const std::size_t threads : {1u, 2u}) {
+      CalCheckOptions opts;
+      opts.threads = threads;
+      const CalCheckResult plain = CalChecker(spec, opts).check(h);
+      const CalCheckResult nested_run = CalChecker(nesting, opts).check(h);
+      ASSERT_EQ(plain.ok, nested_run.ok);
+      if (threads != 1) continue;
+      EXPECT_EQ(plain.witness->elements(), nested_run.witness->elements());
+      EXPECT_EQ(plain.visited_states, nested_run.visited_states);
+      EXPECT_EQ(plain.fired_elements, nested_run.fired_elements);
+      EXPECT_EQ(plain.pruned_subsets, nested_run.pruned_subsets);
+    }
+  }
+}
+
+TEST(CalEngineEquivalence, NestedCheckInsideCollectSinkLeavesOuterIntact) {
+  ExchangerSpec spec(kE, kEx);
+  const History outer = wide_overlap_history(6, false);
+  const History nested = wide_overlap_history(4, false);
+  const std::vector<OpRecord> ops = outer.operations();
+  const auto collect = [&](bool nest) {
+    engine::CalPolicy<false> policy(ops, spec, /*complete_pending=*/true);
+    engine::SequentialSearch<engine::CalPolicy<false>> driver(
+        policy, engine::SearchOptions{});
+    std::vector<std::vector<CaElement>> goals;
+    const engine::SearchStats stats = driver.run_collect(
+        [&](const auto&, const std::vector<CaElement>& path) {
+          if (nest) {
+            EXPECT_TRUE(CalChecker(spec).check(nested).ok);
+          }
+          goals.push_back(path);
+        });
+    return std::make_tuple(goals, stats.visited_states,
+                           policy.fired_elements());
+  };
+  const auto plain = collect(false);
+  const auto nested_run = collect(true);
+  EXPECT_FALSE(std::get<0>(plain).empty());
+  EXPECT_EQ(plain, nested_run);
 }
 
 }  // namespace

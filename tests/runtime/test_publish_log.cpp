@@ -96,6 +96,67 @@ TEST(PublishLogCursor, IndependentCursorsDoNotInterfere) {
 }
 
 // ---------------------------------------------------------------------------
+// Slot lifetime. A counting item records every default construction and,
+// per item id, every destruction of an object that still owned its id (a
+// moved-from item owns none), so the tests can see what the log constructs
+// up front and that each published item is destroyed exactly once.
+
+struct CountingItem {
+  static inline std::size_t default_constructed = 0;
+  static inline std::vector<int> destroyed_ids;
+
+  int id = -1;
+
+  CountingItem() { ++default_constructed; }
+  explicit CountingItem(int i) : id(i) {}
+  CountingItem(CountingItem&& other) noexcept : id(other.id) {
+    other.id = -1;
+  }
+  CountingItem& operator=(CountingItem&& other) noexcept {
+    if (id >= 0) destroyed_ids.push_back(id);
+    id = other.id;
+    other.id = -1;
+    return *this;
+  }
+  ~CountingItem() {
+    if (id >= 0) destroyed_ids.push_back(id);
+  }
+};
+
+TEST(PublishLogSlots, ConstructionBuildsNoItems) {
+  CountingItem::default_constructed = 0;
+  PublishLog<CountingItem> log(65536);
+  EXPECT_EQ(CountingItem::default_constructed, 0u);
+  EXPECT_EQ(log.capacity(), 65536u);
+  EXPECT_EQ(log.size(), 0u);
+}
+
+TEST(PublishLogSlots, ResetAndDestructorDestroyEachPublishedItemOnce) {
+  CountingItem::default_constructed = 0;
+  CountingItem::destroyed_ids.clear();
+  {
+    PublishLog<CountingItem> log(4);
+    for (int i = 0; i < 6; ++i) log.append(CountingItem(i));  // 4, 5 drop
+    EXPECT_EQ(log.dropped(), 2u);
+    std::vector<int> seen;
+    log.snapshot_prefix(
+        [&](const CountingItem& item) { seen.push_back(item.id); });
+    EXPECT_EQ(seen, (std::vector<int>{0, 1, 2, 3}));
+    // Dropped items die in append's by-value parameter.
+    std::vector<int> before_reset = CountingItem::destroyed_ids;
+    std::sort(before_reset.begin(), before_reset.end());
+    EXPECT_EQ(before_reset, (std::vector<int>{4, 5}));
+    log.reset();
+    for (int i = 10; i < 13; ++i) log.append(CountingItem(i));
+    EXPECT_EQ(log.size(), 3u);
+  }
+  EXPECT_EQ(CountingItem::default_constructed, 0u);
+  std::vector<int> ids = CountingItem::destroyed_ids;
+  std::sort(ids.begin(), ids.end());
+  EXPECT_EQ(ids, (std::vector<int>{0, 1, 2, 3, 4, 5, 10, 11, 12}));
+}
+
+// ---------------------------------------------------------------------------
 // Concurrent stress. Each writer appends values tagged with its id; the
 // item encoding (writer * kPerWriter + seq) makes per-writer order and
 // exactly-once delivery checkable after the fact.
