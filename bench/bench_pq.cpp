@@ -1,5 +1,5 @@
-// Experiment T-PQ — the polynomial order checker vs the generic engine on
-// priority-queue histories as overlap width grows.
+// Experiment T-PQ — the polynomial order checkers vs the generic engine on
+// priority-queue, stack and queue histories as overlap width grows.
 //
 // The workload is the adversarial shape for subset enumeration: w inserts
 // with distinct values, all mutually concurrent, followed by w deleteMins,
@@ -13,9 +13,13 @@
 #include <cstdint>
 #include <vector>
 
+#include <memory>
+
 #include "cal/cal_checker.hpp"
 #include "cal/history.hpp"
 #include "cal/specs/priority_queue_spec.hpp"
+#include "cal/specs/queue_spec.hpp"
+#include "cal/specs/stack_spec.hpp"
 
 namespace {
 
@@ -211,6 +215,85 @@ BENCHMARK(BM_PqChecker_Width_Engine_Reject)
     ->Arg(3)
     ->Arg(4)
     ->Arg(5);
+
+/// The staircase for a stack or queue: w inserts of 0..w-1 all stay open
+/// while a sequential run of w removals returns the values in the order
+/// that inserting them in their natural order gets wrong — ascending for a
+/// stack, descending for a queue; the inserts respond only afterwards.
+/// Linearizable — each insert linearizes just before its removal, on an
+/// empty container — but the engine's DFS fires inserts in their natural
+/// order first and dead-ends deep, as on the priority-queue staircase. The
+/// order path pairs each removal with its open insert as it is invoked.
+History stair_collection_history(Symbol obj, Symbol ins, Symbol rem,
+                                 std::size_t width, bool lifo) {
+  History h;
+  for (std::size_t i = 0; i < width; ++i) {
+    h.invoke(static_cast<ThreadId>(i + 1), obj, ins,
+             Value::integer(static_cast<std::int64_t>(i)));
+  }
+  const auto remover = static_cast<ThreadId>(width + 1);
+  for (std::size_t i = 0; i < width; ++i) {
+    const std::size_t v = lifo ? i : width - 1 - i;
+    h.invoke(remover, obj, rem);
+    h.respond(remover, obj, rem,
+              Value::pair(true, static_cast<std::int64_t>(v)));
+  }
+  for (std::size_t i = 0; i < width; ++i) {
+    h.respond(static_cast<ThreadId>(i + 1), obj, ins, Value::boolean(true));
+  }
+  return h;
+}
+
+/// Stack and queue staircases through CalChecker(SeqAsCaSpec(S)), on the
+/// order path (order = 1) or the engine (order = 0): the per-spec shape of
+/// BM_PqChecker_Width vs BM_PqChecker_Width_Engine.
+template <typename Spec>
+void collection_stair(benchmark::State& state, const char* obj,
+                      const char* ins, const char* rem, bool lifo,
+                      bool order) {
+  const Symbol object{obj};
+  const History h = stair_collection_history(
+      object, Symbol{ins}, Symbol{rem},
+      static_cast<std::size_t>(state.range(0)), lifo);
+  SeqAsCaSpec spec(std::make_shared<Spec>(object));
+  CalCheckOptions opts;
+  opts.order_check = order;
+  CalChecker checker(spec, opts);
+  CalCheckResult r;
+  for (auto _ : state) {
+    r = checker.check(h);
+    benchmark::DoNotOptimize(r.ok);
+  }
+  if (!r.ok) state.SkipWithError("staircase rejected");
+  state.counters["order_checked"] = r.order_checked ? 1.0 : 0.0;
+  state.counters["visited"] = static_cast<double>(r.visited_states);
+}
+
+void BM_StackChecker_Stair(benchmark::State& state) {
+  collection_stair<StackSpec>(state, "S", "push", "pop", true, true);
+}
+void BM_StackChecker_Stair_Engine(benchmark::State& state) {
+  collection_stair<StackSpec>(state, "S", "push", "pop", true, false);
+}
+void BM_QueueChecker_Stair(benchmark::State& state) {
+  collection_stair<QueueSpec>(state, "Q", "enq", "deq", false, true);
+}
+void BM_QueueChecker_Stair_Engine(benchmark::State& state) {
+  collection_stair<QueueSpec>(state, "Q", "enq", "deq", false, false);
+}
+// The engine rows stop where one repetition still takes seconds: at the
+// largest widths each two more multiply its visited states by ≈70 (stack)
+// and ≈90 (queue).
+BENCHMARK(BM_StackChecker_Stair)->ArgName("width")->DenseRange(2, 14, 2);
+BENCHMARK(BM_StackChecker_Stair_Engine)
+    ->ArgName("width")
+    ->DenseRange(2, 10, 2)
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_QueueChecker_Stair)->ArgName("width")->DenseRange(2, 14, 2);
+BENCHMARK(BM_QueueChecker_Stair_Engine)
+    ->ArgName("width")
+    ->DenseRange(2, 8, 2)
+    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -13,7 +13,8 @@
 #     (bench_model_check, BM_Explore_Reduction + BM_CalChecker_OverlapWidth
 #     _Sym/_Reject_Sym) → BENCH_por.json
 #   * T-PQ — polynomial order checker vs the enumerative engine on
-#     priority-queue staircase/overlap widths (bench_pq) → BENCH_pq.json
+#     priority-queue staircase/overlap widths and the stack/queue
+#     staircases (bench_pq) → BENCH_pq.json
 #   * T-WMM — the memory-model axis: annotated vs seq_cst-forced RealEnv
 #     on the exchanger/stack hot paths, and explorer SC-vs-TSO state
 #     counts (bench_weak_memory) → BENCH_weak_memory.json
@@ -53,9 +54,10 @@
 #                  overlap-width series)
 #   POR_OUT        reduction output JSON path (default: BENCH_por.json in
 #                  the repo root)
-#   PQ_FILTER      priority-queue benchmark name regex (default:
-#                  BM_PqChecker — the order-path widths, both reject
-#                  series, and the engine baseline)
+#   PQ_FILTER      order-checker benchmark name regex (default:
+#                  BM_(Pq|Stack|Queue)Checker — the order-path widths,
+#                  both reject series, the engine baselines, and the
+#                  stack/queue staircases)
 #   PQ_OUT         priority-queue output JSON path (default: BENCH_pq.json
 #                  in the repo root)
 #   WMM_FILTER     weak-memory benchmark name regex (default:
@@ -79,7 +81,7 @@ ENV_FILTER="${ENV_FILTER:-BM_Env_StepOverhead}"
 ENV_OUT="${ENV_OUT:-$ROOT/BENCH_env_unification.json}"
 POR_FILTER="${POR_FILTER:-BM_Explore_Reduction|BM_CalChecker_OverlapWidth_Sym|BM_CalChecker_OverlapWidth_Reject_Sym}"
 POR_OUT="${POR_OUT:-$ROOT/BENCH_por.json}"
-PQ_FILTER="${PQ_FILTER:-BM_PqChecker}"
+PQ_FILTER="${PQ_FILTER:-BM_(Pq|Stack|Queue)Checker}"
 PQ_OUT="${PQ_OUT:-$ROOT/BENCH_pq.json}"
 WMM_FILTER="${WMM_FILTER:-BM_WeakMemory}"
 WMM_OUT="${WMM_OUT:-$ROOT/BENCH_weak_memory.json}"

@@ -35,7 +35,11 @@ CaElement CaElement::swap(Symbol o, Symbol method, ThreadId t, std::int64_t v,
 }
 
 CaElement CaElement::singleton(Symbol o, Operation op) {
-  return CaElement(o, {std::move(op)});
+  // Not `{std::move(op)}`: an initializer list would copy the operation.
+  std::vector<Operation> ops;
+  ops.reserve(1);
+  ops.push_back(std::move(op));
+  return CaElement(o, std::move(ops));
 }
 
 std::size_t CaElement::hash() const noexcept {

@@ -52,7 +52,16 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
     if (auto oc = spec_.order_check(ops, options_.complete_pending)) {
       CalCheckResult result;
       result.ok = oc->ok;
-      result.witness = std::move(oc->witness);
+      if (oc->ok) {
+        std::vector<CaElement> elements;
+        elements.reserve(oc->linearization.size());
+        for (LinearizedOp& step : oc->linearization) {
+          Operation op = ops[step.record].op;
+          op.ret = std::move(step.ret);
+          elements.push_back(CaElement::singleton(op.object, std::move(op)));
+        }
+        result.witness = CaTrace(std::move(elements));
+      }
       result.order_checked = true;
       result.order_values = oc->values;
       result.order_zones = oc->zones;

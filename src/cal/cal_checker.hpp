@@ -59,10 +59,11 @@ struct CalCheckOptions {
   /// all fail: 2^w fired-subsets collapse to w+1 counts).
   bool symmetry = false;
   /// Consult CaSpec::order_check before the engine. Specs with a
-  /// polynomial membership characterization (the priority queue) decide
-  /// the history without any state search; a declined order check falls
-  /// back to the engine. Disable to force the engine (cal_check
-  /// --no-order-check, differential tests).
+  /// polynomial membership characterization (the stack, queue and
+  /// priority queue through SeqAsCaSpec) decide the history without any
+  /// state search; a declined order check falls back to the engine.
+  /// Disable to force the engine (cal_check --no-order-check,
+  /// differential tests, tests whose subject is the engine).
   bool order_check = true;
 };
 
@@ -93,9 +94,9 @@ struct CalCheckResult {
   /// True when the verdict came from CaSpec::order_check; the engine never
   /// ran and the engine counters above are all zero.
   bool order_checked = false;
-  /// Order-check effort counters (see OrderCheckOutcome): per-priority
-  /// value segments examined, forced-presence zones built, candidate
-  /// points bumped past a zone.
+  /// Order-check effort counters (see OrderCheckOutcome): distinct values
+  /// examined, and for the priority queue forced-presence zones built and
+  /// candidate points bumped past a zone.
   std::size_t order_values = 0;
   std::size_t order_zones = 0;
   std::size_t order_bumps = 0;

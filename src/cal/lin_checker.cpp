@@ -1,6 +1,7 @@
 #include "cal/lin_checker.hpp"
 
 #include <utility>
+#include <vector>
 
 #include "cal/engine/lin_policy.hpp"
 #include "cal/engine/search_engine.hpp"
@@ -28,6 +29,23 @@ LinCheckResult collect_result(Driver& driver,
 }  // namespace
 
 LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
+  if (options_.order_check) {
+    if (auto oc = spec_.order_check(ops, options_.complete_pending)) {
+      LinCheckResult result;
+      result.ok = oc->ok;
+      result.order_checked = true;
+      if (oc->ok) {
+        std::vector<Operation> witness;
+        witness.reserve(oc->linearization.size());
+        for (LinearizedOp& step : oc->linearization) {
+          witness.push_back(ops[step.record].op);
+          witness.back().ret = std::move(step.ret);
+        }
+        result.witness = std::move(witness);
+      }
+      return result;
+    }
+  }
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;

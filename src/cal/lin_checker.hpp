@@ -34,6 +34,11 @@ struct LinCheckOptions {
   /// default 128-bit fingerprints (cal/fingerprint.hpp, ~2^-64 per-pair
   /// false-prune risk).
   bool exact_visited = false;
+  /// Consult SequentialSpec::order_check before the engine, as
+  /// CalCheckOptions::order_check does: the stack, queue and priority
+  /// queue decide the history without any state search, and a declined
+  /// order check falls back to the engine. Disable to force the engine.
+  bool order_check = true;
 };
 
 struct LinCheckResult {
@@ -48,6 +53,9 @@ struct LinCheckResult {
   /// from the per-search cache vs computed by SequentialSpec::step.
   std::size_t step_cache_hits = 0;
   std::size_t step_cache_misses = 0;
+  /// True when the verdict came from SequentialSpec::order_check; the
+  /// engine never ran and the engine counters above are all zero.
+  bool order_checked = false;
 
   explicit operator bool() const noexcept { return ok; }
 };

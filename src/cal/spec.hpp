@@ -54,17 +54,27 @@ struct CaStepResult {
   CaElement element;
 };
 
+/// One step of an order-checked witness: the operation record it fires
+/// (an index into the checked records) and the return it fires with —
+/// the recorded one, or the spec's forced choice for a fired pending
+/// invocation.
+struct LinearizedOp {
+  std::size_t record = 0;
+  Value ret;
+};
+
 /// Verdict of a spec's non-enumerative membership decision
-/// (CaSpec::order_check): a definitive accept/reject computed from
+/// (SequentialSpec::order_check): a definitive accept/reject computed from
 /// order-theoretic constraints instead of the engine's state search.
 struct OrderCheckOutcome {
   bool ok = false;
-  /// On acceptance: a witness trace T ∈ 𝒯 with H^c ⊑CAL T, like the
-  /// engine's.
-  std::optional<CaTrace> witness;
+  /// On acceptance: the witness linearization, one singleton element per
+  /// step. Each checker builds its own witness format from it (CalChecker
+  /// a CaTrace, LinChecker an operation sequence).
+  std::vector<LinearizedOp> linearization;
   /// Effort counters, mirroring the engine's visited/pruned style:
-  /// per-priority value segments examined, forced-presence zones built,
-  /// and candidate points bumped past a zone.
+  /// distinct values examined, and (priority queue only) forced-presence
+  /// zones built and candidate points bumped past a zone.
   std::size_t values = 0;
   std::size_t zones = 0;
   std::size_t bumps = 0;
@@ -126,14 +136,15 @@ class CaSpec {
   }
 
   /// Non-enumerative membership decision hook. A spec that admits a
-  /// polynomial order-theoretic characterization of CAL membership (e.g.
-  /// the priority queue's per-priority ordering constraints) may decide
-  /// the whole history here, bypassing the engine search. Returning an
-  /// outcome is a *definitive* verdict and must equal the engine's on the
-  /// same operations under the same `complete_pending`; returning nullopt
-  /// declines (instance outside the characterization's fragment) and the
-  /// checker falls back to the engine. The default declines everything.
-  /// DESIGN.md § "Order-checked specs" states the soundness obligations.
+  /// polynomial order-theoretic characterization of CAL membership may
+  /// decide the whole history here, bypassing the engine search.
+  /// Returning an outcome is a *definitive* verdict and must equal the
+  /// engine's on the same operations under the same `complete_pending`;
+  /// returning nullopt declines (instance outside the characterization's
+  /// fragment) and the checker falls back to the engine. The default
+  /// declines everything; SeqAsCaSpec forwards to
+  /// SequentialSpec::order_check. DESIGN.md § "Order-checked specs"
+  /// states the soundness obligations.
   [[nodiscard]] virtual std::optional<OrderCheckOutcome> order_check(
       const std::vector<OpRecord>& ops, bool complete_pending) const {
     (void)ops;
@@ -164,13 +175,26 @@ class SequentialSpec {
   [[nodiscard]] virtual std::vector<SeqStepResult> step(
       const SpecState& state, ThreadId tid, Symbol object, Symbol method,
       const Value& arg, const std::optional<Value>& ret) const = 0;
+
+  /// Non-enumerative linearizability decision, shared by both checkers:
+  /// LinChecker consults it directly and CalChecker through SeqAsCaSpec.
+  /// Same contract as CaSpec::order_check (a definitive verdict equal to
+  /// the engine's, or nullopt to decline); the stack, queue and priority
+  /// queue implement it in cal/engine/order_checker.hpp. The default
+  /// declines everything.
+  [[nodiscard]] virtual std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops, bool complete_pending) const {
+    (void)ops;
+    (void)complete_pending;
+    return std::nullopt;
+  }
 };
 
 /// Adapter: view a sequential specification as a CA-spec whose elements are
 /// all singletons. A history is classically linearizable w.r.t. S iff it is
 /// CAL w.r.t. SeqAsCaSpec(S) — the formal sense in which CAL generalizes
 /// linearizability (§3). Subclassable so sequential specs with extra
-/// checker capabilities (symmetry classes, order_check) can layer them on
+/// checker capabilities (symmetry classes) can layer them on
 /// (cal/specs/priority_queue_spec.hpp).
 class SeqAsCaSpec : public CaSpec {
  public:
@@ -186,6 +210,13 @@ class SeqAsCaSpec : public CaSpec {
   [[nodiscard]] bool compatible(
       Symbol /*object*/, const std::vector<Operation>& ops) const override {
     return ops.size() <= 1;
+  }
+  /// CAL w.r.t. SeqAsCaSpec(S) is linearizability w.r.t. S, so the
+  /// sequential spec's order check decides both.
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override {
+    return seq_->order_check(ops, complete_pending);
   }
 
  private:

@@ -48,6 +48,13 @@ std::vector<SeqStepResult> PriorityQueueSpec::step(
   return out;
 }
 
+std::optional<OrderCheckOutcome> PriorityQueueSpec::order_check(
+    const std::vector<OpRecord>& ops, bool complete_pending) const {
+  return engine::order_check_priority_queue(
+      ops, engine::OrderCheckRequest{object_, insert_symbol(),
+                                     delete_min_symbol(), complete_pending});
+}
+
 std::uint64_t PriorityQueueCaSpec::symmetry_class(
     Symbol object, const Operation& op) const {
   if (object != object_ || op.is_pending()) return 0;
@@ -55,16 +62,6 @@ std::uint64_t PriorityQueueCaSpec::symmetry_class(
   h = h * 0x9e3779b97f4a7c15ull + op.arg.hash();
   h = h * 0x9e3779b97f4a7c15ull + op.ret->hash();
   return h | (1ull << 63);  // nonzero: 0 means "never merged"
-}
-
-std::optional<OrderCheckOutcome> PriorityQueueCaSpec::order_check(
-    const std::vector<OpRecord>& ops, bool complete_pending) const {
-  engine::OrderCheckRequest req;
-  req.object = object_;
-  req.insert_method = insert_symbol();
-  req.delete_method = delete_min_symbol();
-  req.complete_pending = complete_pending;
-  return engine::order_check_priority_queue(ops, req);
 }
 
 }  // namespace cal

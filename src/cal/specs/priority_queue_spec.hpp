@@ -8,12 +8,12 @@
 //   deleteMin  ▷ (true, min)     — nonempty (min = smallest stored value)
 //   deleteMin  ▷ (false, 0)      — empty
 //
-// PriorityQueueCaSpec layers the checker capabilities on top of the
-// SeqAsCaSpec view: symmetry classes (identical completed operations are
-// interchangeable in a tid-agnostic sequential spec) and — the reason this
-// spec exists — the polynomial order_check fast path implemented in
-// cal/engine/order_checker.hpp, which decides membership without the
-// engine's state search whenever all inserted values are distinct.
+// PriorityQueueSpec::order_check is the polynomial fast path implemented in
+// cal/engine/order_checker.hpp: it decides membership without the engine's
+// state search whenever all inserted values are distinct, for LinChecker
+// directly and for CalChecker through SeqAsCaSpec. PriorityQueueCaSpec
+// layers symmetry classes on top of that view (identical completed
+// operations are interchangeable in a tid-agnostic sequential spec).
 #pragma once
 
 #include <memory>
@@ -30,15 +30,18 @@ class PriorityQueueSpec final : public SequentialSpec {
   [[nodiscard]] std::vector<SeqStepResult> step(
       const SpecState& state, ThreadId tid, Symbol object, Symbol method,
       const Value& arg, const std::optional<Value>& ret) const override;
+  /// Declines on duplicate inserted values and on a pending deleteMin
+  /// under complete_pending; the checker then runs the engine.
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override;
 
  private:
   Symbol object_;  // state is the stored multiset, kept ascending
 };
 
-/// SeqAsCaSpec(PriorityQueueSpec) plus the order_check fast path and
-/// symmetry classes. CalChecker consults order_check first and only falls
-/// back to the engine when it declines (duplicate inserted values, pending
-/// deleteMin under complete_pending).
+/// SeqAsCaSpec(PriorityQueueSpec) plus symmetry classes; the order check
+/// comes through SeqAsCaSpec's forwarding.
 class PriorityQueueCaSpec final : public SeqAsCaSpec {
  public:
   explicit PriorityQueueCaSpec(Symbol object)
@@ -49,10 +52,6 @@ class PriorityQueueCaSpec final : public SeqAsCaSpec {
   /// equal method/argument/return are fully interchangeable.
   [[nodiscard]] std::uint64_t symmetry_class(
       Symbol object, const Operation& op) const override;
-
-  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
-      const std::vector<OpRecord>& ops,
-      bool complete_pending) const override;
 
  private:
   Symbol object_;

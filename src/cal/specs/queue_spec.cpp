@@ -2,9 +2,20 @@
 
 #include <algorithm>
 
+#include "cal/engine/order_checker.hpp"
+
 namespace cal {
 
 namespace {
+
+const Symbol& enq_sym() {
+  static const Symbol s{"enq"};
+  return s;
+}
+const Symbol& deq_sym() {
+  static const Symbol s{"deq"};
+  return s;
+}
 
 void emit(std::vector<SeqStepResult>& out, const std::optional<Value>& want,
           SpecState next, Value ret) {
@@ -17,16 +28,14 @@ void emit(std::vector<SeqStepResult>& out, const std::optional<Value>& want,
 std::vector<SeqStepResult> QueueSpec::step(
     const SpecState& state, ThreadId /*tid*/, Symbol object, Symbol method,
     const Value& arg, const std::optional<Value>& ret) const {
-  static const Symbol kEnq{"enq"};
-  static const Symbol kDeq{"deq"};
   if (object != object_) return {};
   std::vector<SeqStepResult> out;
-  if (method == kEnq) {
+  if (method == enq_sym()) {
     if (arg.kind() != Value::Kind::kInt) return {};
     SpecState next = state;
     next.push_back(arg.as_int());
     emit(out, ret, std::move(next), Value::boolean(true));
-  } else if (method == kDeq) {
+  } else if (method == deq_sym()) {
     if (state.empty()) {
       emit(out, ret, state, Value::pair(false, 0));
     } else {
@@ -35,6 +44,13 @@ std::vector<SeqStepResult> QueueSpec::step(
     }
   }
   return out;
+}
+
+std::optional<OrderCheckOutcome> QueueSpec::order_check(
+    const std::vector<OpRecord>& ops, bool complete_pending) const {
+  return engine::order_check_queue(
+      ops, engine::OrderCheckRequest{object_, enq_sym(), deq_sym(),
+                                     complete_pending});
 }
 
 std::vector<SeqStepResult> RegisterSpec::step(

@@ -8,6 +8,9 @@
 //   enq(v) ▷ true            — always succeeds
 //   deq()  ▷ (true, head)    — nonempty
 //   deq()  ▷ (false, 0)      — empty
+//
+// With distinct enqueued values QueueSpec decides linearizability by
+// order_check (cal/engine/order_checker.hpp), with no state search.
 #pragma once
 
 #include "cal/spec.hpp"
@@ -22,6 +25,9 @@ class QueueSpec final : public SequentialSpec {
   [[nodiscard]] std::vector<SeqStepResult> step(
       const SpecState& state, ThreadId tid, Symbol object, Symbol method,
       const Value& arg, const std::optional<Value>& ret) const override;
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override;
 
  private:
   Symbol object_;

@@ -1,5 +1,7 @@
 #include "cal/specs/stack_spec.hpp"
 
+#include "cal/engine/order_checker.hpp"
+
 namespace cal {
 
 namespace {
@@ -61,6 +63,13 @@ std::vector<SeqStepResult> StackSpec::step(
     emit(out, ret, std::move(popped), Value::pair(true, state.back()));
   }
   return out;
+}
+
+std::optional<OrderCheckOutcome> StackSpec::order_check(
+    const std::vector<OpRecord>& ops, bool complete_pending) const {
+  return engine::order_check_stack(
+      ops, engine::OrderCheckRequest{object_, push_sym(), pop_sym(),
+                                     complete_pending});
 }
 
 }  // namespace cal

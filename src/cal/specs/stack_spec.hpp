@@ -11,7 +11,9 @@
 //   * StackSpec — the elimination stack `ES` as its clients see it:
 //     push(v) always returns true; pop() returns (true, v) for the value on
 //     top and is only admissible on a non-empty stack (the Fig. 2 pop loops
-//     rather than report empty).
+//     rather than report empty). With distinct pushed values it decides
+//     linearizability by order_check (cal/engine/order_checker.hpp), with
+//     no state search.
 //
 // Abstract state: the stack contents, top last.
 #pragma once
@@ -41,6 +43,9 @@ class StackSpec final : public SequentialSpec {
   [[nodiscard]] std::vector<SeqStepResult> step(
       const SpecState& state, ThreadId tid, Symbol object, Symbol method,
       const Value& arg, const std::optional<Value>& ret) const override;
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override;
 
  private:
   Symbol object_;

@@ -159,6 +159,7 @@ void expect_equivalent(const CaSpec& spec, const History& h,
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
     CalCheckOptions opts;
     opts.threads = threads;
+    opts.order_check = false;  // the subject is the parallel engine
     CalChecker checker(spec, opts);
     CalCheckResult r = checker.check(h);
     if (!verdict) {

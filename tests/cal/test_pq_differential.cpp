@@ -1,8 +1,9 @@
 // Differential corpus for the priority-queue order checker: generated
 // linearizable histories (plus corrupted and truncated variants) must get
 // the same verdict from the order path and from the engine, across the
-// engine's thread counts and both dedup modes. Its own binary so the CI
-// TSan job can run the threads>1 grid under the race detector.
+// engine's thread counts and both dedup modes, for CalChecker and for
+// LinChecker(PriorityQueueSpec). Its own binary so the CI TSan job can run
+// the threads>1 grid under the race detector.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -11,6 +12,7 @@
 
 #include "cal/cal_checker.hpp"
 #include "cal/history.hpp"
+#include "cal/lin_checker.hpp"
 #include "cal/specs/priority_queue_spec.hpp"
 
 namespace cal {
@@ -140,6 +142,9 @@ History drop_last_response(const History& h) {
 TEST(PqDifferential, OrderAndEngineAgreeOnGeneratedCorpus) {
   std::mt19937 rng(20260809);
   PriorityQueueCaSpec spec(kP);
+  PriorityQueueSpec seq(kP);
+  LinCheckOptions lin_engine;
+  lin_engine.order_check = false;
   std::size_t accepts = 0;
   std::size_t rejects = 0;
   std::size_t order_decided = 0;
@@ -158,6 +163,15 @@ TEST(PqDifferential, OrderAndEngineAgreeOnGeneratedCorpus) {
       ref.exact_visited = true;
       const bool want = CalChecker(spec, ref).check(h).ok;
       (want ? accepts : rejects) += 1;
+      // The lin leg: LinChecker reaches the same order path through
+      // PriorityQueueSpec::order_check.
+      EXPECT_EQ(LinChecker(seq, lin_engine).check(h).ok, want)
+          << "lin engine\n" << h.to_string();
+      const LinCheckResult lin = LinChecker(seq).check(h);
+      EXPECT_EQ(lin.ok, want) << "lin order-dispatch\n" << h.to_string();
+      if (!duplicates && h.complete()) {
+        EXPECT_TRUE(lin.order_checked) << h.to_string();
+      }
       for (std::size_t threads : {std::size_t{1}, std::size_t{2},
                                   std::size_t{8}}) {
         for (bool exact : {false, true}) {

@@ -97,6 +97,7 @@ void expect_modes_equivalent(const CaSpec& spec, const History& h,
       CalCheckOptions opts;
       opts.threads = threads;
       opts.exact_visited = exact;
+      opts.order_check = false;  // the subject is the engine's visited set
       CalChecker checker(spec, opts);
       CalCheckResult r = checker.check(h);
       if (!verdict) {

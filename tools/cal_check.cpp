@@ -23,9 +23,10 @@
 //                     set of spec-interchangeable operations fired
 //                     (CalCheckOptions::symmetry); verdict unchanged
 //   --no-order-check  force the engine search even when the spec offers a
-//                     polynomial order_check decision (pq). The verdict
-//                     line always names the path that ran: `path=order`
-//                     with its zone/bump counters, or `path=engine` with
+//                     polynomial order_check decision (stack, queue, pq),
+//                     for --checker cal and lin alike. The verdict line
+//                     always names the path that ran: `path=order` with
+//                     its value/zone/bump counters, or `path=engine` with
 //                     the search counters. --follow always streams through
 //                     the engine (the incremental checker has no order
 //                     path).
@@ -47,10 +48,10 @@
 //   central-stack:<obj>          sequential with spurious CAS failures
 //   queue:<obj>                  sequential FIFO
 //   pq:<obj>                     sequential priority queue (insert/deleteMin)
-//                                with the polynomial order-check fast path
 //   register:<obj>               sequential read/write register
 // Sequential specs work with every checker (wrapped in SeqAsCaSpec for
-// cal/set-lin); CA-specs reject --checker lin.
+// cal/set-lin); CA-specs reject --checker lin. stack, queue and pq carry
+// the polynomial order-check fast path.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -86,7 +87,7 @@ struct Options {
   std::size_t threads = 1;  // CalCheckOptions::threads per check
   bool exact_visited = false;  // CalCheckOptions::exact_visited
   bool symmetry = false;       // CalCheckOptions::symmetry
-  bool order_check = true;     // CalCheckOptions::order_check
+  bool order_check = true;     // Cal/LinCheckOptions::order_check
   bool follow = false;         // streaming incremental mode
   std::size_t window = 16;     // IncrementalOptions::window
 };
@@ -134,8 +135,8 @@ std::optional<SpecBundle> make_spec(const std::string& desc) {
     b.seq = std::make_shared<QueueSpec>(object);
   } else if (kind == "pq") {
     b.seq = std::make_shared<PriorityQueueSpec>(object);
-    b.ca = std::make_shared<PriorityQueueCaSpec>(object);  // not SeqAsCaSpec:
-    // carries the order_check fast path and symmetry classes
+    // SeqAsCaSpec plus symmetry classes.
+    b.ca = std::make_shared<PriorityQueueCaSpec>(object);
   } else if (kind == "register") {
     b.seq = std::make_shared<RegisterSpec>(object);
   } else {
@@ -228,11 +229,18 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     return o;
   }
   if (opt.checker == "lin") {
-    LinChecker checker(*spec.seq);
+    LinCheckOptions lopts;
+    lopts.order_check = opt.order_check;
+    LinChecker checker(*spec.seq, lopts);
     LinCheckResult r = checker.check(history);
+    const std::string stats =
+        r.order_checked
+            ? std::string("path=order")
+            : "path=engine, " + std::to_string(r.visited_states) + " states";
     if (r.ok) {
       if (!opt.quiet && r.witness) {
-        o.out = "ACCEPT: linearizable\nwitness linearization:\n";
+        o.out = "ACCEPT: linearizable (" + stats +
+                ")\nwitness linearization:\n";
         for (const Operation& op : *r.witness) {
           o.out += "  " + op.to_string() + "\n";
         }
@@ -242,7 +250,8 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
       o.code = 0;
       return o;
     }
-    o.out = "REJECT: not linearizable\n";
+    o.out = "REJECT: not linearizable (" + stats +
+            (r.exhausted ? ", search exhausted" : "") + ")\n";
     o.code = 1;
     return o;
   }
