@@ -150,12 +150,19 @@ TEST(LinChecker, WitnessIsAValidLinearization) {
 TEST(LinChecker, CrossValidatesWithCalCheckerOnSingletonAdapter) {
   // The formal bridge: lin(H, S) ⟺ CAL(H, SeqAsCaSpec(S)). Spot-check on a
   // batch of hand-picked histories (the property test sweeps random ones).
+  // Both checkers search, so the two engines are what is compared; the
+  // order path both consult by default must then agree with them.
   const Symbol s{"S"};
   StackSpec seq(s);
   auto shared = std::make_shared<StackSpec>(s);
   SeqAsCaSpec ca(shared);
-  LinChecker lin(seq);
-  CalChecker cal(ca);
+  LinCheckOptions lin_opts;
+  lin_opts.order_check = false;
+  CalCheckOptions cal_opts;
+  cal_opts.order_check = false;
+  LinChecker lin(seq, lin_opts);
+  CalChecker cal(ca, cal_opts);
+  LinChecker ordered(seq);
 
   std::vector<History> histories;
   histories.push_back(HistoryBuilder()
@@ -175,8 +182,13 @@ TEST(LinChecker, CrossValidatesWithCalCheckerOnSingletonAdapter) {
                           .ret(1, Value::boolean(true))
                           .history());
   for (const History& h : histories) {
-    EXPECT_EQ(static_cast<bool>(lin.check(h)),
-              static_cast<bool>(cal.check(h)))
+    const LinCheckResult want = lin.check(h);
+    EXPECT_FALSE(want.order_checked);
+    EXPECT_EQ(static_cast<bool>(want), static_cast<bool>(cal.check(h)))
+        << h.to_string();
+    const LinCheckResult fast = ordered.check(h);
+    EXPECT_TRUE(fast.order_checked) << h.to_string();
+    EXPECT_EQ(static_cast<bool>(fast), static_cast<bool>(want))
         << h.to_string();
   }
 }
