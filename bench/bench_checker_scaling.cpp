@@ -9,6 +9,12 @@
 //   * CAL checker vs overlap width (all operations concurrent — the
 //     adversarial case for the subset enumeration);
 //   * the Def. 5 agreement check (linear pass) as the baseline primitive.
+//
+// The checkers decide these specs by their order paths by default (the
+// exchanger's pairing sweep, the stack sweep), which never search. Every
+// series named above passes order_check = false, so it keeps timing the
+// engine it was recorded for; its `_Order` twin times the default path on
+// the same histories.
 #include <benchmark/benchmark.h>
 
 #include <random>
@@ -72,10 +78,16 @@ History stack_history(std::size_t n_ops) {
   return b.history();
 }
 
-void BM_CalChecker_ExchangerHistory(benchmark::State& state) {
+CalCheckOptions cal_options(bool order_check) {
+  CalCheckOptions opts;
+  opts.order_check = order_check;
+  return opts;
+}
+
+void exchanger_history_row(benchmark::State& state, bool order_check) {
   const History h = exchanger_history(static_cast<std::size_t>(state.range(0)));
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
-  CalChecker checker(spec);
+  CalChecker checker(spec, cal_options(order_check));
   std::size_t visited = 0;
   for (auto _ : state) {
     CalCheckResult r = checker.check(h);
@@ -85,7 +97,22 @@ void BM_CalChecker_ExchangerHistory(benchmark::State& state) {
   state.counters["ops"] = static_cast<double>(h.operations().size());
   state.counters["visited"] = static_cast<double>(visited);
 }
+
+void BM_CalChecker_ExchangerHistory(benchmark::State& state) {
+  exchanger_history_row(state, /*order_check=*/false);
+}
 BENCHMARK(BM_CalChecker_ExchangerHistory)
+    ->ArgName("ops")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128);
+
+void BM_CalChecker_ExchangerHistory_Order(benchmark::State& state) {
+  exchanger_history_row(state, /*order_check=*/true);
+}
+BENCHMARK(BM_CalChecker_ExchangerHistory_Order)
     ->ArgName("ops")
     ->Arg(8)
     ->Arg(16)
@@ -112,7 +139,7 @@ void BM_CalChecker_OverlapWidth(benchmark::State& state) {
   // the T-MEM before/after axis.
   const History h = wide_overlap_history(static_cast<std::size_t>(state.range(0)));
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
-  CalCheckOptions opts;
+  CalCheckOptions opts = cal_options(/*order_check=*/false);
   opts.threads = static_cast<std::size_t>(state.range(1));
   opts.exact_visited = state.range(2) != 0;
   CalChecker checker(spec, opts);
@@ -150,7 +177,7 @@ void BM_CalChecker_OverlapWidth_Reject(benchmark::State& state) {
   actions.back().payload = Value::pair(true, 424242);  // impossible swap
   const History bad{std::move(actions)};
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
-  CalCheckOptions opts;
+  CalCheckOptions opts = cal_options(/*order_check=*/false);
   opts.threads = static_cast<std::size_t>(state.range(1));
   opts.exact_visited = state.range(2) != 0;
   CalChecker checker(spec, opts);
@@ -172,13 +199,61 @@ BENCHMARK(BM_CalChecker_OverlapWidth_Reject)
     ->Args({8, 2, 0})
     ->Args({8, 8, 0});
 
-void BM_LinChecker_StackHistory(benchmark::State& state) {
+/// The pairing sweep on the overlap-width histories: every failure is a
+/// singleton at its response (accept); the poisoned last response finds
+/// no partner (reject). Neither searches.
+void overlap_width_order_row(benchmark::State& state, bool poison_last) {
+  History h = wide_overlap_history(static_cast<std::size_t>(state.range(0)));
+  if (poison_last) {
+    std::vector<Action> actions = h.actions();
+    actions.back().payload = Value::pair(true, 424242);  // impossible swap
+    h = History{std::move(actions)};
+  }
+  ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
+  CalChecker checker(spec);
+  CalCheckResult r;
+  for (auto _ : state) {
+    r = checker.check(h);
+    benchmark::DoNotOptimize(r.ok);
+  }
+  if (r.ok == poison_last || !r.order_checked) {
+    state.SkipWithError("unexpected verdict or path");
+  }
+}
+
+void BM_CalChecker_OverlapWidth_Order(benchmark::State& state) {
+  overlap_width_order_row(state, /*poison_last=*/false);
+}
+BENCHMARK(BM_CalChecker_OverlapWidth_Order)
+    ->ArgName("width")
+    ->Arg(2)
+    ->Arg(4)
+    ->Arg(6)
+    ->Arg(8)
+    ->Arg(10)
+    ->Arg(12);
+
+void BM_CalChecker_OverlapWidth_Reject_Order(benchmark::State& state) {
+  overlap_width_order_row(state, /*poison_last=*/true);
+}
+BENCHMARK(BM_CalChecker_OverlapWidth_Reject_Order)
+    ->ArgName("width")
+    ->Arg(7)
+    ->Arg(8);
+
+void lin_stack_row(benchmark::State& state, bool order_check) {
   const History h = stack_history(static_cast<std::size_t>(state.range(0)));
   StackSpec spec(Symbol{"S"});
-  LinChecker checker(spec);
+  LinCheckOptions opts;
+  opts.order_check = order_check;
+  LinChecker checker(spec, opts);
   for (auto _ : state) {
     benchmark::DoNotOptimize(checker.check(h).ok);
   }
+}
+
+void BM_LinChecker_StackHistory(benchmark::State& state) {
+  lin_stack_row(state, /*order_check=*/false);
 }
 BENCHMARK(BM_LinChecker_StackHistory)
     ->ArgName("ops")
@@ -188,17 +263,43 @@ BENCHMARK(BM_LinChecker_StackHistory)
     ->Arg(64)
     ->Arg(128);
 
-void BM_CalCheckerViaAdapter_StackHistory(benchmark::State& state) {
-  // The generality tax: same histories, CAL checker through SeqAsCaSpec.
+void BM_LinChecker_StackHistory_Order(benchmark::State& state) {
+  lin_stack_row(state, /*order_check=*/true);
+}
+BENCHMARK(BM_LinChecker_StackHistory_Order)
+    ->ArgName("ops")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128);
+
+void adapter_stack_row(benchmark::State& state, bool order_check) {
   const History h = stack_history(static_cast<std::size_t>(state.range(0)));
   auto seq = std::make_shared<StackSpec>(Symbol{"S"});
   SeqAsCaSpec spec(seq);
-  CalChecker checker(spec);
+  CalChecker checker(spec, cal_options(order_check));
   for (auto _ : state) {
     benchmark::DoNotOptimize(checker.check(h).ok);
   }
 }
+
+void BM_CalCheckerViaAdapter_StackHistory(benchmark::State& state) {
+  // The generality tax: same histories, CAL checker through SeqAsCaSpec.
+  adapter_stack_row(state, /*order_check=*/false);
+}
 BENCHMARK(BM_CalCheckerViaAdapter_StackHistory)
+    ->ArgName("ops")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32)
+    ->Arg(64)
+    ->Arg(128);
+
+void BM_CalCheckerViaAdapter_StackHistory_Order(benchmark::State& state) {
+  adapter_stack_row(state, /*order_check=*/true);
+}
+BENCHMARK(BM_CalCheckerViaAdapter_StackHistory_Order)
     ->ArgName("ops")
     ->Arg(8)
     ->Arg(16)
@@ -217,9 +318,7 @@ void BM_Agree_Def5(benchmark::State& state) {
 }
 BENCHMARK(BM_Agree_Def5)->ArgName("ops")->Arg(16)->Arg(64)->Arg(256);
 
-void BM_CalChecker_RejectsCorrupted(benchmark::State& state) {
-  // Rejection cost: corrupt the last successful response; the checker must
-  // exhaust the search space to answer "no".
+void rejects_corrupted_row(benchmark::State& state, bool order_check) {
   History h = exchanger_history(static_cast<std::size_t>(state.range(0)));
   std::vector<Action> actions = h.actions();
   for (auto it = actions.rbegin(); it != actions.rend(); ++it) {
@@ -231,12 +330,28 @@ void BM_CalChecker_RejectsCorrupted(benchmark::State& state) {
   }
   const History bad{std::move(actions)};
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
-  CalChecker checker(spec);
+  CalChecker checker(spec, cal_options(order_check));
   for (auto _ : state) {
     benchmark::DoNotOptimize(checker.check(bad).ok);
   }
 }
+
+void BM_CalChecker_RejectsCorrupted(benchmark::State& state) {
+  // Rejection cost: corrupt the last successful response; the engine must
+  // exhaust the search space to answer "no".
+  rejects_corrupted_row(state, /*order_check=*/false);
+}
 BENCHMARK(BM_CalChecker_RejectsCorrupted)
+    ->ArgName("ops")
+    ->Arg(8)
+    ->Arg(16)
+    ->Arg(32);
+
+void BM_CalChecker_RejectsCorrupted_Order(benchmark::State& state) {
+  // The pairing sweep stops at the corrupted response: no partner.
+  rejects_corrupted_row(state, /*order_check=*/true);
+}
+BENCHMARK(BM_CalChecker_RejectsCorrupted_Order)
     ->ArgName("ops")
     ->Arg(8)
     ->Arg(16)

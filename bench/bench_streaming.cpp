@@ -12,6 +12,10 @@
 //     blowup the frontier-carrying design removes);
 //   * incremental vs window size at fixed length — the latency/throughput
 //     knob (small windows = tight violation-latency bound, more searches).
+//
+// The batch rows pass order_check = false: the comparison is between
+// engine searches, and the exchanger's pairing sweep would answer them
+// without one.
 #include <benchmark/benchmark.h>
 
 #include "cal/cal_checker.hpp"
@@ -45,6 +49,12 @@ History exchanger_history(std::size_t n_ops) {
     t = (t % 6) + 1;
   }
   return b.history();
+}
+
+CalCheckOptions engine_options() {
+  CalCheckOptions opts;
+  opts.order_check = false;
+  return opts;
 }
 
 void BM_Streaming_Incremental(benchmark::State& state) {
@@ -85,7 +95,7 @@ void BM_Streaming_BatchFinal(benchmark::State& state) {
   const ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
   std::size_t visited = 0;
   for (auto _ : state) {
-    CalChecker checker(spec);
+    CalChecker checker(spec, engine_options());
     CalCheckResult r = checker.check(h);
     if (!r.ok) state.SkipWithError("history rejected");
     benchmark::DoNotOptimize(r.ok);
@@ -110,12 +120,12 @@ void BM_Streaming_BatchPerWindow(benchmark::State& state) {
       prefix.append(a);
       if (++since_check == kWindow) {
         since_check = 0;
-        CalChecker checker(spec);
+        CalChecker checker(spec, engine_options());
         ok = ok && checker.check(prefix).ok;
       }
     }
     if (since_check != 0) {
-      CalChecker checker(spec);
+      CalChecker checker(spec, engine_options());
       ok = ok && checker.check(prefix).ok;
     }
     if (!ok) state.SkipWithError("prefix rejected");

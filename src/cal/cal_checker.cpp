@@ -53,12 +53,20 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
       CalCheckResult result;
       result.ok = oc->ok;
       if (oc->ok) {
+        std::vector<LinearizedOp>& steps = oc->linearization;
         std::vector<CaElement> elements;
-        elements.reserve(oc->linearization.size());
-        for (LinearizedOp& step : oc->linearization) {
-          Operation op = ops[step.record].op;
-          op.ret = std::move(step.ret);
-          elements.push_back(CaElement::singleton(op.object, std::move(op)));
+        elements.reserve(steps.size());
+        for (std::size_t k = 0; k < steps.size();) {
+          std::size_t end = k + 1;
+          while (end < steps.size() && steps[end].joins_previous) ++end;
+          std::vector<Operation> group;
+          group.reserve(end - k);
+          for (; k < end; ++k) {
+            group.push_back(ops[steps[k].record].op);
+            group.back().ret = std::move(steps[k].ret);
+          }
+          const Symbol object = group.front().object;
+          elements.emplace_back(object, std::move(group));
         }
         result.witness = CaTrace(std::move(elements));
       }
@@ -87,12 +95,10 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
 }
 
 CalCheckResult CalChecker::check(const History& history) const {
-  if (!history.well_formed()) {
-    CalCheckResult r;
-    r.ok = false;
-    return r;
-  }
-  return check(history.operations());
+  const std::optional<std::vector<OpRecord>> ops =
+      history.well_formed_operations();
+  if (!ops) return CalCheckResult{};  // ill-formed: not a member
+  return check(*ops);
 }
 
 }  // namespace cal

@@ -60,8 +60,9 @@ struct CalCheckOptions {
   bool symmetry = false;
   /// Consult CaSpec::order_check before the engine. Specs with a
   /// polynomial membership characterization (the stack, queue and
-  /// priority queue through SeqAsCaSpec) decide the history without any
-  /// state search; a declined order check falls back to the engine.
+  /// priority queue through SeqAsCaSpec; the exchanger and the
+  /// synchronous queue by their pairing sweep) decide the history without
+  /// any state search; a declined order check falls back to the engine.
   /// Disable to force the engine (cal_check --no-order-check,
   /// differential tests, tests whose subject is the engine).
   bool order_check = true;

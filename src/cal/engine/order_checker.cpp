@@ -619,4 +619,140 @@ std::optional<OrderCheckOutcome> order_check_queue(
   return order_check_collection(ops, req, /*lifo=*/false);
 }
 
+// ===========================================================================
+// Exchanger and synchronous queue: one pairing sweep.
+
+namespace {
+
+constexpr std::uint32_t kNoEvent = std::numeric_limits<std::uint32_t>::max();
+
+/// The pairing sweep's working buffers, leased per thread like
+/// OrderScratch. Candidates live in flat arrays scanned in full: both stay
+/// as small as the overlap width (a thread has at most one operation open
+/// and at most one pending), where a scan beats any keyed structure.
+struct PairingScratch {
+  std::vector<PairShape> shape;       ///< per record
+  std::vector<std::uint8_t> matched;  ///< per record: paired before its response
+  std::vector<std::uint32_t> at;      ///< per action: record << 1 | response
+  std::vector<std::uint32_t> open;    ///< invoked, unmatched kPaired records
+  std::vector<std::uint32_t> pending;  ///< invoked, unused kPartner records
+};
+
+/// Removes position `k` of `v` (order is irrelevant to the scans).
+void swap_remove(std::vector<std::uint32_t>& v, std::size_t k) {
+  v[k] = v.back();
+  v.pop_back();
+}
+
+}  // namespace
+
+std::optional<OrderCheckOutcome> order_check_pairing(
+    const std::vector<OpRecord>& ops, const PairingShapes& shapes,
+    bool complete_pending) {
+  using Kind = PairShape::Kind;
+  OrderCheckOutcome out;
+  ScratchLease<PairingScratch> lease;
+  PairingScratch& s = *lease;
+
+  // --- classify; lay the events out by action index -----------------------
+  s.shape.resize(ops.size());
+  s.matched.assign(ops.size(), 0);
+  std::size_t n_actions = 0;
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    PairShape& sh = s.shape[i];
+    sh = shapes.shape(ops[i].op);
+    if (ops[i].is_pending()) {
+      if (!complete_pending) sh.kind = Kind::kDropped;
+      n_actions = std::max(n_actions, ops[i].inv_index + 1);
+    } else {
+      if (sh.kind == Kind::kReject) return out;
+      if (sh.kind == Kind::kPaired) ++out.values;
+      n_actions = std::max(n_actions, *ops[i].res_index + 1);
+    }
+  }
+  s.at.assign(n_actions, kNoEvent);
+  auto place = [&s](std::size_t at, std::uint32_t event) {
+    if (s.at[at] != kNoEvent) return false;
+    s.at[at] = event;
+    return true;
+  };
+  for (std::size_t i = 0; i < ops.size(); ++i) {
+    const Kind kind = s.shape[i].kind;
+    const auto r = static_cast<std::uint32_t>(i << 1);
+    // Only candidates need their invocation; only completed operations
+    // fire at a response.
+    if ((kind == Kind::kPaired || kind == Kind::kPartner) &&
+        !place(ops[i].inv_index, r)) {
+      return std::nullopt;
+    }
+    if ((kind == Kind::kPaired || kind == Kind::kAlone) &&
+        !place(*ops[i].res_index, r | 1)) {
+      return std::nullopt;
+    }
+  }
+
+  // --- the sweep -------------------------------------------------------------
+  s.open.clear();
+  s.pending.clear();
+  out.linearization.reserve(ops.size());
+  auto fire = [&](std::size_t i, Value ret, bool joins) {
+    out.linearization.push_back(LinearizedOp{i, std::move(ret), joins});
+  };
+  for (const std::uint32_t e : s.at) {
+    if (e == kNoEvent) continue;
+    const std::size_t x = e >> 1;
+    const PairShape& sx = s.shape[x];
+    if ((e & 1) == 0) {
+      (sx.kind == Kind::kPaired ? s.open : s.pending)
+          .push_back(static_cast<std::uint32_t>(x));
+      continue;
+    }
+    if (sx.kind == Kind::kAlone) {
+      fire(x, *ops[x].op.ret, false);
+      continue;
+    }
+    if (s.matched[x] != 0) continue;
+    // x leaves the open set; its partner is the open mirror that responds
+    // first.
+    std::size_t self = kNone;
+    std::size_t best = kNone;
+    for (std::size_t k = 0; k < s.open.size(); ++k) {
+      const std::uint32_t y = s.open[k];
+      if (y == x) {
+        self = k;
+      } else if (s.shape[y].offer == sx.want && s.shape[y].want == sx.offer &&
+                 (best == kNone ||
+                  *ops[y].res_index < *ops[s.open[best]].res_index)) {
+        best = k;
+      }
+    }
+    if (best != kNone) {
+      const std::uint32_t y = s.open[best];
+      s.matched[y] = 1;
+      swap_remove(s.open, std::max(self, best));
+      swap_remove(s.open, std::min(self, best));
+      fire(x, *ops[x].op.ret, false);
+      fire(y, *ops[y].op.ret, true);
+      continue;
+    }
+    swap_remove(s.open, self);
+    // No completed partner: any invoked pending one of the mirrored
+    // argument serves every later operation equally well.
+    std::size_t p = 0;
+    while (p < s.pending.size() &&
+           !(s.shape[s.pending[p]].offer == sx.pending_want)) {
+      ++p;
+    }
+    if (p == s.pending.size()) {
+      out.linearization.clear();
+      return out;
+    }
+    fire(x, *ops[x].op.ret, false);
+    fire(s.pending[p], shapes.partner_return(ops[x].op), true);
+    swap_remove(s.pending, p);
+  }
+  out.ok = true;
+  return out;
+}
+
 }  // namespace cal::engine

@@ -1,11 +1,12 @@
-// The non-enumerative order checkers: priority queue, stack and queue.
+// The non-enumerative order checkers: priority queue, stack and queue, and
+// the pairing sweep of the stateless CA-specs (exchanger, sync queue).
 //
-// Each decides linearizability of a history w.r.t. one sequential spec
-// (equivalently CAL w.r.t. its SeqAsCaSpec view, §3) from order
-// constraints on the operations' intervals, without the engine's state
-// search. All three work on the fragment where every inserted value is
-// distinct; instances outside it *decline* (return nullopt) and the caller
-// falls back to the engine, so the composed verdict is always the
+// The first three decide linearizability of a history w.r.t. one
+// sequential spec (equivalently CAL w.r.t. its SeqAsCaSpec view, §3) from
+// order constraints on the operations' intervals, without the engine's
+// state search. All three work on the fragment where every inserted value
+// is distinct; instances outside it *decline* (return nullopt) and the
+// caller falls back to the engine, so the composed verdict is always the
 // engine's. A fired pending insert always returns `true`; the other
 // fragment rules (which pending operations fire, which completed ones can
 // never step) are shared and listed in DESIGN.md § "Order-checked specs".
@@ -59,16 +60,39 @@
 // (stack) it first, by the deadline of their removals' responses. Every
 // step is taken inside its operation's interval on the spec's own state,
 // so a finished sweep *is* a witness. A step the sweep cannot take (a
-// value in the way whose removal is not open) makes it stuck — a stack
-// sweep is then retried once, placing pushes below v more eagerly — and
-// a stuck check rejects on an order pattern every witness would violate
-// (FIFO or LIFO inversions, an empty dequeue covered by forced-presence
-// zones) and otherwise declines, since the forcing order is a heuristic. Rejections
+// value in the way whose removal is not open) makes it stuck, and a stuck
+// check rejects on an order pattern every witness would violate (FIFO or
+// LIFO inversions, an empty dequeue covered by forced-presence zones) and
+// otherwise declines, since the forcing order is a heuristic. Rejections
 // that need no sweep (a removal of a value never inserted, removed twice,
 // or removed before its insert is invoked) are found by sorting first.
 // The sweep is O(n log n). DESIGN.md gives each rule's proof.
+//
+// ## Exchanger and synchronous queue: pairing
+//
+// Both CA-specs are stateless: every element is a value-matched pair of
+// overlapping operations or a lone failure (§4, Fig. 3). So a history is
+// CAL iff its completed successful operations can be matched into
+// mirrored pairs whose intervals overlap — a pending invocation of the
+// mirrored argument may stand in as a partner under complete_pending —
+// and every other completed operation is an admissible failure. One sweep
+// over the actions decides it. At the response of a completed successful
+// operation x that is still unmatched, x pairs with the open (invoked, not
+// yet responded), unmatched, completed operation of the mirrored shape
+// that responds first; failing that, under complete_pending, with any
+// invoked pending invocation of the mirrored argument; failing that, the
+// history is rejected. Failures and timeouts are singletons at their
+// response. Two exchange arguments make the greedy choice complete: a
+// completed partner dominates a pending one, and among completed partners
+// the earliest deadline dominates later ones. Each pair's operations are
+// both open just before x's response, so the elements in sweep order are
+// a witness. The per-spec PairingShapes adapter says which operations
+// pair (their offer and wanted keys) and which are failures; the sweep
+// never declines on a history's records and costs O(n · w) for overlap
+// width w.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -107,5 +131,60 @@ struct OrderCheckRequest {
 /// deq ▷ (true, head) | (false, 0)). Declines as order_check_stack does.
 [[nodiscard]] std::optional<OrderCheckOutcome> order_check_queue(
     const std::vector<OpRecord>& ops, const OrderCheckRequest& req);
+
+/// One operation's part in a stateless pairing CA-spec, as the spec's
+/// PairingShapes adapter classifies it.
+struct PairShape {
+  enum class Kind : std::uint8_t {
+    kDropped,  ///< pending, and never a partner: the completion drops it
+    kReject,   ///< completed, and no element of the spec contains it
+    kAlone,    ///< completed failure or timeout: a singleton element
+    kPaired,   ///< completed success: must pair with a mirrored partner
+    kPartner,  ///< pending, and completable as the partner of a kPaired
+  };
+  /// A value tagged with the side of the hand-off that carries it (the
+  /// exchanger has one side, the sync queue's put and take two).
+  struct Key {
+    std::int64_t value = 0;
+    std::int64_t side = 0;
+
+    friend bool operator==(const Key&, const Key&) = default;
+  };
+
+  Kind kind = Kind::kDropped;
+  /// kPaired: what the operation hands over. kPartner: what it would hand
+  /// over, matched against a kPaired operation's `pending_want`.
+  Key offer;
+  /// kPaired: what its partner hands over. Completed x and y are mirrored
+  /// iff y.offer == x.want and y.want == x.offer.
+  Key want;
+  /// kPaired: the offer of a pending partner. Operations with equal offer
+  /// and want must have equal pending_want (the sweep's exchange argument
+  /// swaps partners between them).
+  Key pending_want;
+};
+
+/// The per-spec adapter of order_check_pairing.
+class PairingShapes {
+ public:
+  virtual ~PairingShapes() = default;
+
+  /// Classifies one operation: kDropped or kPartner when pending,
+  /// otherwise kReject, kAlone or kPaired.
+  [[nodiscard]] virtual PairShape shape(const Operation& op) const = 0;
+
+  /// The return a pending partner is completed with when it pairs with
+  /// the completed operation `x`.
+  [[nodiscard]] virtual Value partner_return(const Operation& x) const = 0;
+};
+
+/// Decides CAL membership of `ops` against a stateless pairing CA-spec
+/// described by `shapes` (see "Exchanger and synchronous queue" above).
+/// With `complete_pending` false every pending invocation is dropped.
+/// Never declines on a history's records; it returns nullopt only when
+/// two records claim one action index, which no history's do.
+[[nodiscard]] std::optional<OrderCheckOutcome> order_check_pairing(
+    const std::vector<OpRecord>& ops, const PairingShapes& shapes,
+    bool complete_pending);
 
 }  // namespace cal::engine

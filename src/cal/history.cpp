@@ -150,26 +150,56 @@ bool History::complete() const {
   return 2 * invocations(actions_) == actions_.size();
 }
 
-std::vector<OpRecord> History::operations() const {
-  std::vector<OpRecord> out;
-  out.reserve(invocations(actions_));
+namespace {
+
+/// The walk behind operations() and well_formed_operations(): appends the
+/// operations of `actions` to `out` in invocation order. With `strict` it
+/// stops at the first action that breaks well-formedness and returns
+/// false; otherwise it skips stray responses, as operations() always has.
+bool extract_operations(const std::vector<Action>& actions, bool strict,
+                        std::vector<OpRecord>& out) {
+  out.reserve(invocations(actions));
   // Index into `out` of each thread's open operation.
   ThreadTable open;
-  for (std::size_t i = 0; i < actions_.size(); ++i) {
-    const Action& a = actions_[i];
+  for (std::size_t i = 0; i < actions.size(); ++i) {
+    const Action& a = actions[i];
     std::size_t& slot = open[a.tid];
     if (a.is_invoke()) {
+      if (strict && slot != ThreadTable::kNone) return false;  // nested
       slot = out.size();
       out.push_back(OpRecord{
           Operation::pending(a.tid, a.object, a.method, a.payload), i,
           std::nullopt});
     } else {
-      if (slot == ThreadTable::kNone) continue;  // ill-formed; callers check
+      if (slot == ThreadTable::kNone) {
+        if (strict) return false;  // response without an open invocation
+        continue;
+      }
       OpRecord& rec = out[slot];
+      if (strict &&
+          (rec.op.object != a.object || rec.op.method != a.method)) {
+        return false;  // response to another object or method
+      }
       rec.op.ret = a.payload;
       rec.res_index = i;
       slot = ThreadTable::kNone;
     }
+  }
+  return true;
+}
+
+}  // namespace
+
+std::vector<OpRecord> History::operations() const {
+  std::vector<OpRecord> out;
+  extract_operations(actions_, /*strict=*/false, out);
+  return out;
+}
+
+std::optional<std::vector<OpRecord>> History::well_formed_operations() const {
+  std::vector<OpRecord> out;
+  if (!extract_operations(actions_, /*strict=*/true, out)) {
+    return std::nullopt;
   }
   return out;
 }

@@ -79,6 +79,12 @@ class History {
   /// Pending invocations yield OpRecords with no response index.
   [[nodiscard]] std::vector<OpRecord> operations() const;
 
+  /// operations() and well_formed() in one walk: the records when the
+  /// history is well-formed, nullopt when it is not. The checkers'
+  /// check(const History&) entry points use it.
+  [[nodiscard]] std::optional<std::vector<OpRecord>> well_formed_operations()
+      const;
+
   /// The real-time order ≺H on the result of operations(): record i
   /// precedes record j iff i's response appears before j's invocation
   /// (Def. 3). Returns false when either endpoint is missing.

@@ -61,12 +61,10 @@ IntervalCheckResult IntervalLinChecker::check(
 }
 
 IntervalCheckResult IntervalLinChecker::check(const History& history) const {
-  if (!history.well_formed()) {
-    IntervalCheckResult r;
-    r.ok = false;
-    return r;
-  }
-  return check(history.operations());
+  const std::optional<std::vector<OpRecord>> ops =
+      history.well_formed_operations();
+  if (!ops) return IntervalCheckResult{};  // ill-formed: not a member
+  return check(*ops);
 }
 
 }  // namespace cal

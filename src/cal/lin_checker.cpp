@@ -62,12 +62,10 @@ LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
 }
 
 LinCheckResult LinChecker::check(const History& history) const {
-  if (!history.well_formed()) {
-    LinCheckResult r;
-    r.ok = false;
-    return r;
-  }
-  return check(history.operations());
+  const std::optional<std::vector<OpRecord>> ops =
+      history.well_formed_operations();
+  if (!ops) return LinCheckResult{};  // ill-formed: not linearizable
+  return check(*ops);
 }
 
 }  // namespace cal

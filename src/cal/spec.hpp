@@ -61,6 +61,10 @@ struct CaStepResult {
 struct LinearizedOp {
   std::size_t record = 0;
   Value ret;
+  /// True when this step fires in one CA-element with the step before it
+  /// (the second half of an exchanger swap or a sync-queue hand-off).
+  /// Sequential specs never set it, so their steps stay singletons.
+  bool joins_previous = false;
 };
 
 /// Verdict of a spec's non-enumerative membership decision
@@ -68,12 +72,14 @@ struct LinearizedOp {
 /// order-theoretic constraints instead of the engine's state search.
 struct OrderCheckOutcome {
   bool ok = false;
-  /// On acceptance: the witness linearization, one singleton element per
-  /// step. Each checker builds its own witness format from it (CalChecker
-  /// a CaTrace, LinChecker an operation sequence).
+  /// On acceptance: the witness, one element per step or per run of
+  /// steps joined by LinearizedOp::joins_previous. Each checker builds its
+  /// own witness format from it (CalChecker a CaTrace, LinChecker — whose
+  /// sequential specs only produce singletons — an operation sequence).
   std::vector<LinearizedOp> linearization;
   /// Effort counters, mirroring the engine's visited/pruned style:
-  /// distinct values examined, and (priority queue only) forced-presence
+  /// distinct values examined (the pairing path: completed operations
+  /// that needed a partner), and (priority queue only) forced-presence
   /// zones built and candidate points bumped past a zone.
   std::size_t values = 0;
   std::size_t zones = 0;
@@ -143,8 +149,10 @@ class CaSpec {
   /// returning nullopt declines (instance outside the characterization's
   /// fragment) and the checker falls back to the engine. The default
   /// declines everything; SeqAsCaSpec forwards to
-  /// SequentialSpec::order_check. DESIGN.md § "Order-checked specs"
-  /// states the soundness obligations.
+  /// SequentialSpec::order_check (the stack, queue and priority queue),
+  /// and the exchanger and the synchronous queue decide by one pairing
+  /// sweep (engine::order_check_pairing) that never declines. DESIGN.md
+  /// § "Order-checked specs" states the soundness obligations.
   [[nodiscard]] virtual std::optional<OrderCheckOutcome> order_check(
       const std::vector<OpRecord>& ops, bool complete_pending) const {
     (void)ops;

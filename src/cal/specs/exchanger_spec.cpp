@@ -1,5 +1,7 @@
 #include "cal/specs/exchanger_spec.hpp"
 
+#include "cal/engine/order_checker.hpp"
+
 namespace cal {
 
 namespace {
@@ -91,6 +93,57 @@ std::vector<CaStepResult> ExchangerSpec::step(
         state, CaElement(object_, {std::move(ca), std::move(cb)})});
   }
   return out;
+}
+
+namespace {
+
+/// The exchanger's shapes for the pairing sweep: ex(a) ▷ (true,b) offers a
+/// and wants b; a pending ex(c) can stand in for any partner wanting c.
+class ExchangerShapes final : public engine::PairingShapes {
+ public:
+  ExchangerShapes(Symbol object, Symbol method)
+      : object_(object), method_(method) {}
+
+  [[nodiscard]] engine::PairShape shape(const Operation& op) const override {
+    using Kind = engine::PairShape::Kind;
+    engine::PairShape s;
+    const bool ours = op.object == object_ && op.method == method_ &&
+                      op.arg.kind() == Value::Kind::kInt;
+    if (op.is_pending()) {
+      if (ours) {
+        s.kind = Kind::kPartner;
+        s.offer.value = op.arg.as_int();
+      }
+      return s;
+    }
+    s.kind = Kind::kReject;
+    if (!ours || op.ret->kind() != Value::Kind::kPair) return s;
+    if (!op.ret->pair_ok()) {
+      if (admits_failure(op)) s.kind = Kind::kAlone;
+      return s;
+    }
+    s.kind = Kind::kPaired;
+    s.offer.value = op.arg.as_int();
+    s.want.value = op.ret->pair_int();
+    s.pending_want = s.want;
+    return s;
+  }
+
+  [[nodiscard]] Value partner_return(const Operation& x) const override {
+    return Value::pair(true, x.arg.as_int());
+  }
+
+ private:
+  Symbol object_;
+  Symbol method_;
+};
+
+}  // namespace
+
+std::optional<OrderCheckOutcome> ExchangerSpec::order_check(
+    const std::vector<OpRecord>& ops, bool complete_pending) const {
+  return engine::order_check_pairing(ops, ExchangerShapes(object_, method_),
+                                     complete_pending);
 }
 
 }  // namespace cal

@@ -45,6 +45,13 @@ class ExchangerSpec final : public CaSpec {
   [[nodiscard]] std::uint64_t symmetry_class(
       Symbol object, const Operation& op) const override;
 
+  /// Decides membership without search: swaps are overlapping pairs
+  /// (t, ex(v) ▷ (true,v')), (t', ex(v') ▷ (true,v)) found by
+  /// engine::order_check_pairing; failures are singletons.
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override;
+
   [[nodiscard]] Symbol object() const noexcept { return object_; }
   [[nodiscard]] Symbol method() const noexcept { return method_; }
 

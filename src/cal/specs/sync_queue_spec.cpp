@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "cal/engine/order_checker.hpp"
+
 namespace cal {
 
 namespace {
@@ -101,6 +103,73 @@ std::vector<CaStepResult> SyncQueueSpec::step(
         state, CaElement(object_, {std::move(cp), std::move(ct)})});
   }
   return out;
+}
+
+namespace {
+
+/// The sync queue's shapes for the pairing sweep: put(v) ▷ true offers v
+/// on the put side and wants it on the take side, take() ▷ (true,v) the
+/// reverse. A pending put(v) can stand in for a take that got v, and a
+/// pending take (side 1, no value) for any successful put.
+class SyncQueueShapes final : public engine::PairingShapes {
+ public:
+  explicit SyncQueueShapes(Symbol object) : object_(object) {}
+
+  [[nodiscard]] engine::PairShape shape(const Operation& op) const override {
+    using Kind = engine::PairShape::Kind;
+    constexpr std::int64_t kPut = 0;
+    constexpr std::int64_t kTake = 1;
+    engine::PairShape s;
+    const bool put = op.method == put_sym();
+    const bool ours =
+        op.object == object_ &&
+        (put ? op.arg.kind() == Value::Kind::kInt
+             : op.method == take_sym() && op.arg.is_unit());
+    if (op.is_pending()) {
+      if (ours) {
+        s.kind = Kind::kPartner;
+        s.offer = put ? engine::PairShape::Key{op.arg.as_int(), kPut}
+                      : engine::PairShape::Key{0, kTake};
+      }
+      return s;
+    }
+    s.kind = Kind::kReject;
+    if (!ours) return s;
+    if (put_admits(op, /*paired=*/false) ||
+        take_admits(op, std::nullopt)) {
+      s.kind = Kind::kAlone;
+      return s;
+    }
+    if (put && put_admits(op, /*paired=*/true)) {
+      s.kind = Kind::kPaired;
+      s.offer = {op.arg.as_int(), kPut};
+      s.want = {op.arg.as_int(), kTake};
+      s.pending_want = {0, kTake};
+    } else if (!put && op.ret->kind() == Value::Kind::kPair &&
+               op.ret->pair_ok()) {
+      s.kind = Kind::kPaired;
+      s.offer = {op.ret->pair_int(), kTake};
+      s.want = {op.ret->pair_int(), kPut};
+      s.pending_want = s.want;
+    }
+    return s;
+  }
+
+  [[nodiscard]] Value partner_return(const Operation& x) const override {
+    return x.method == put_sym() ? Value::pair(true, x.arg.as_int())
+                                 : Value::boolean(true);
+  }
+
+ private:
+  Symbol object_;
+};
+
+}  // namespace
+
+std::optional<OrderCheckOutcome> SyncQueueSpec::order_check(
+    const std::vector<OpRecord>& ops, bool complete_pending) const {
+  return engine::order_check_pairing(ops, SyncQueueShapes(object_),
+                                     complete_pending);
 }
 
 namespace {

@@ -39,6 +39,13 @@ class SyncQueueSpec final : public CaSpec {
   [[nodiscard]] bool compatible(
       Symbol object, const std::vector<Operation>& ops) const override;
 
+  /// Decides membership without search: hand-offs are overlapping
+  /// put(v) ▷ true / take() ▷ (true,v) pairs found by
+  /// engine::order_check_pairing; timeouts are singletons.
+  [[nodiscard]] std::optional<OrderCheckOutcome> order_check(
+      const std::vector<OpRecord>& ops,
+      bool complete_pending) const override;
+
  private:
   Symbol object_;
 };

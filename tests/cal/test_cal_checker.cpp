@@ -49,6 +49,44 @@ TEST(CalChecker, IllFormedHistoryRejected) {
   EXPECT_FALSE(checker.check(h));
 }
 
+/// One history per way to break well-formedness; each is otherwise a
+/// member (every operation a failed exchange).
+std::vector<History> ill_formed_exchanges() {
+  std::vector<History> out;
+  History nested;  // t1 invokes twice without responding
+  nested.invoke(1, kE, kEx, iv(1));
+  nested.invoke(1, kE, kEx, iv(2));
+  nested.respond(1, kE, kEx, Value::pair(false, 2));
+  out.push_back(nested);
+  History stray;  // a response before any invocation of its thread
+  stray.invoke(1, kE, kEx, iv(1));
+  stray.respond(2, kE, kEx, Value::pair(false, 2));
+  stray.respond(1, kE, kEx, Value::pair(false, 1));
+  out.push_back(stray);
+  History mismatched;  // answers another method than it invoked
+  mismatched.invoke(1, kE, kEx, iv(1));
+  mismatched.respond(1, kE, Symbol{"swap"}, Value::pair(false, 1));
+  out.push_back(mismatched);
+  return out;
+}
+
+TEST(CalChecker, EveryIllFormedShapeRejectsOnBothPaths) {
+  // The checker finds ill-formedness in the same walk that extracts the
+  // operations; none of these may reach the order path or the engine.
+  ExchangerSpec spec(kE, kEx);
+  for (const bool order_check : {true, false}) {
+    CalCheckOptions opts;
+    opts.order_check = order_check;
+    for (const History& h : ill_formed_exchanges()) {
+      ASSERT_FALSE(h.well_formed()) << h.to_string();
+      const CalCheckResult r = CalChecker(spec, opts).check(h);
+      EXPECT_FALSE(r.ok) << h.to_string();
+      EXPECT_FALSE(r.order_checked);
+      EXPECT_EQ(r.visited_states, 0u);
+    }
+  }
+}
+
 TEST(CalChecker, ChainOfSwapsAcrossThreeThreads) {
   // t1 swaps with t2, then t2 swaps with t3 — t2 has two operations.
   auto h = HistoryBuilder()
@@ -81,13 +119,15 @@ TEST(CalChecker, SelfSwapIsImpossible) {
 }
 
 TEST(CalChecker, MaxVisitedCapReportsExhaustion) {
-  // A history that needs search: several concurrent failures.
+  // A history that needs search: several concurrent failures. The cap
+  // binds the engine, so the order path (which never searches) is off.
   HistoryBuilder b;
   for (ThreadId t = 1; t <= 6; ++t) b.call(t, "E", "exchange", iv(t));
   for (ThreadId t = 1; t <= 6; ++t) b.ret(t, Value::pair(false, t));
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
   opts.max_visited = 1;
+  opts.order_check = false;
   CalChecker checker(spec, opts);
   CalCheckResult r = checker.check(b.history());
   EXPECT_FALSE(r.ok);

@@ -1,15 +1,22 @@
-// Differential suite for the stack and queue order checkers
-// (cal/engine/order_checker.hpp): on random histories, whenever the order
-// path answers, its verdict must equal the engine's — for CalChecker over
-// SeqAsCaSpec and for LinChecker, under both complete_pending settings —
-// and every accepted witness must replay through the spec and agree with
-// the history's completion. It also pins how rarely the path declines and
-// the hand-built instances at the edges of its rules.
+// Differential suite for the order checkers of the collections and of the
+// stateless pairing specs (cal/engine/order_checker.hpp).
+//
+// Stack and queue: on random histories, whenever the order path answers,
+// its verdict must equal the engine's — for CalChecker over SeqAsCaSpec
+// and for LinChecker, under both complete_pending settings — and every
+// accepted witness must replay through the spec and agree with the
+// history's completion. It also pins how rarely the path declines and the
+// hand-built instances at the edges of its rules.
+//
+// Exchanger (default and renamed method) and synchronous queue: the
+// pairing sweep must answer every history, with the engine's verdict
+// under both complete_pending settings and a valid witness on acceptance.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
 #include <memory>
+#include <ostream>
 #include <random>
 #include <string>
 #include <vector>
@@ -18,8 +25,10 @@
 #include "cal/cal_checker.hpp"
 #include "cal/lin_checker.hpp"
 #include "cal/replay.hpp"
+#include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/queue_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
+#include "cal/specs/sync_queue_spec.hpp"
 
 namespace cal {
 namespace {
@@ -345,7 +354,7 @@ std::string witness_fault(const History& h, const CaTrace& w,
                           const CaSpec& spec) {
   const ReplayResult replay = replay_ca(w, spec);
   if (!replay.ok) return "does not replay: " + replay.reason;
-  const AgreeResult agree = agrees_with(completion(h, ops_of(w)), w);
+  const AgreeResult agree = agrees_with(completion(h, w.all_ops()), w);
   if (!agree.agrees) return "does not agree: " + agree.reason;
   return {};
 }
@@ -664,6 +673,417 @@ TEST(CollectionOrder, StepsTheSpecNeverTakesReject) {
     EXPECT_TRUE(r.order_checked) << h.to_string();
     EXPECT_FALSE(cal_path(*c, h, false).ok) << h.to_string();
   }
+}
+
+// ---------------------------------------------------------------------------
+// The pairing path: exchanger and synchronous queue.
+
+const Symbol kE{"E"};
+const Symbol kY{"Y"};
+
+/// One pairing spec under test, with what its generator needs.
+struct PairingCase {
+  const char* name;
+  bool sync_queue;  ///< put/take on kY; otherwise exchanges on kE
+  Symbol method;    ///< the exchange method (unused by the sync queue)
+  unsigned seed;
+};
+
+/// Names the case in test listings (the default prints its raw bytes).
+void PrintTo(const PairingCase& pc, std::ostream* os) { *os << pc.name; }
+
+/// A member-by-construction run with real overlap: each thread's next
+/// operation moves through invoke → resolve → respond, and the scheduler
+/// interleaves those micro-steps at random. Resolving pairs the thread with
+/// another invoked, unresolved thread of the mirrored kind (both succeed
+/// with each other's values) or resolves it alone as a failure or timeout.
+/// Values come from a pool of `values` distinct ones, so matches are
+/// ambiguous.
+History pairing_run(std::mt19937& rng, const PairingCase& pc,
+                    std::size_t threads, std::size_t ops_per_thread,
+                    std::int64_t values) {
+  struct ThreadState {
+    std::size_t done = 0;
+    int phase = 0;  // 0 idle, 1 invoked, 2 resolved
+    bool put = false;
+    std::int64_t value = 0;
+    Value ret;
+  };
+  const Symbol put{"put"};
+  const Symbol take{"take"};
+  History h;
+  std::vector<ThreadState> ts(threads);
+  std::vector<std::size_t> runnable;
+  std::vector<std::size_t> partners;
+  for (;;) {
+    runnable.clear();
+    for (std::size_t i = 0; i < threads; ++i) {
+      if (ts[i].done < ops_per_thread || ts[i].phase != 0) {
+        runnable.push_back(i);
+      }
+    }
+    if (runnable.empty()) break;
+    const std::size_t me = runnable[rng() % runnable.size()];
+    ThreadState& t = ts[me];
+    const auto tid = static_cast<ThreadId>(me + 1);
+    const Symbol method = pc.sync_queue ? (t.put ? put : take) : pc.method;
+    if (t.phase == 0) {
+      t.put = rng() % 2 == 0;
+      t.value = 1 + static_cast<std::int64_t>(rng() % values);
+      if (!pc.sync_queue) {
+        h.invoke(tid, kE, pc.method, iv(t.value));
+      } else if (t.put) {
+        h.invoke(tid, kY, put, iv(t.value));
+      } else {
+        h.invoke(tid, kY, take);
+      }
+      t.phase = 1;
+    } else if (t.phase == 1) {
+      partners.clear();
+      for (std::size_t u = 0; u < threads; ++u) {
+        if (u != me && ts[u].phase == 1 &&
+            (!pc.sync_queue || ts[u].put != t.put)) {
+          partners.push_back(u);
+        }
+      }
+      if (!partners.empty() && rng() % 10 < 7) {
+        ThreadState& u = ts[partners[rng() % partners.size()]];
+        if (!pc.sync_queue) {
+          t.ret = got(u.value);
+          u.ret = got(t.value);
+        } else {
+          ThreadState& p = t.put ? t : u;
+          ThreadState& q = t.put ? u : t;
+          p.ret = kTrue;
+          q.ret = got(p.value);
+        }
+        u.phase = 2;
+      } else if (!pc.sync_queue) {
+        t.ret = Value::pair(false, t.value);
+      } else {
+        t.ret = t.put ? Value::boolean(false) : kEmpty;
+      }
+      t.phase = 2;
+    } else {
+      h.respond(tid, pc.sync_queue ? kY : kE, method, t.ret);
+      t.phase = 0;
+      ++t.done;
+    }
+  }
+  return h;
+}
+
+/// A return a response of `method` could plausibly carry: right or wrong
+/// kind of success or failure, with a value from the pool or outside it.
+Value random_return(std::mt19937& rng, Symbol method) {
+  const auto v = static_cast<std::int64_t>(rng() % 6);
+  if (method == Symbol{"put"}) return Value::boolean(rng() % 2 == 0);
+  return Value::pair(rng() % 2 == 0, v);
+}
+
+/// One random edit: rewrite a return, swap the returns of two responses of
+/// one method, or move a response (narrowing or widening an interval; the
+/// caller drops the result if it is no longer well-formed).
+History mutate_pairing(std::mt19937& rng, const History& h) {
+  std::vector<Action> a = h.actions();
+  std::vector<std::size_t> resp;
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (a[i].is_respond()) resp.push_back(i);
+  }
+  if (resp.empty()) return h;
+  const std::size_t x = resp[rng() % resp.size()];
+  switch (rng() % 3) {
+    case 0:
+      a[x].payload = random_return(rng, a[x].method);
+      break;
+    case 1: {
+      const std::size_t y = resp[rng() % resp.size()];
+      if (a[x].method == a[y].method) std::swap(a[x].payload, a[y].payload);
+      break;
+    }
+    default: {
+      Action moved = a[x];
+      a.erase(a.begin() + static_cast<std::ptrdiff_t>(x));
+      const std::size_t to = rng() % (a.size() + 1);
+      a.insert(a.begin() + static_cast<std::ptrdiff_t>(to), std::move(moved));
+      break;
+    }
+  }
+  return History(std::move(a));
+}
+
+struct PairingTally {
+  std::size_t checks = 0;
+  std::size_t declined = 0;
+  std::size_t accepts = 0;
+  std::size_t rejects = 0;
+  std::size_t pending_partners = 0;  ///< accepted witnesses firing one
+};
+
+/// Decides `h` on the engine and on the pairing path and checks that the
+/// path answered, with the engine's verdict and a valid witness.
+void expect_pairing_agrees(const CaSpec& spec, const History& h,
+                           bool complete_pending, PairingTally& tally) {
+  ASSERT_TRUE(h.well_formed()) << h.to_string();
+  constexpr std::size_t kMaxVisited = std::size_t{1} << 20;
+  CalCheckOptions engine;
+  engine.order_check = false;
+  engine.complete_pending = complete_pending;
+  engine.max_visited = kMaxVisited;
+  CalCheckOptions order = engine;
+  order.order_check = true;
+  const CalCheckResult want = CalChecker(spec, engine).check(h);
+  ASSERT_FALSE(want.exhausted) << h.to_string();
+  const CalCheckResult got_r = CalChecker(spec, order).check(h);
+  const std::string where = std::string("complete_pending=") +
+                            (complete_pending ? "1" : "0") + "\n" +
+                            h.to_string();
+  ++tally.checks;
+  (want.ok ? tally.accepts : tally.rejects) += 1;
+  if (!got_r.order_checked) ++tally.declined;
+  EXPECT_TRUE(got_r.order_checked) << "declined, " << where;
+  EXPECT_EQ(got_r.ok, want.ok) << where;
+  EXPECT_EQ(got_r.visited_states, 0u);
+  if (!got_r.ok) {
+    EXPECT_FALSE(got_r.witness.has_value());
+    return;
+  }
+  ASSERT_TRUE(got_r.witness.has_value()) << where;
+  EXPECT_EQ(witness_fault(h, *got_r.witness, spec), "")
+      << where << got_r.witness->to_string();
+  const std::size_t completed = static_cast<std::size_t>(std::count_if(
+      h.actions().begin(), h.actions().end(),
+      [](const Action& a) { return a.is_respond(); }));
+  if (got_r.witness->all_ops().size() > completed) ++tally.pending_partners;
+}
+
+class PairingOrderDifferential
+    : public ::testing::TestWithParam<PairingCase> {};
+
+TEST_P(PairingOrderDifferential, PairingPathAgreesWithEngine) {
+  const PairingCase& pc = GetParam();
+  std::unique_ptr<CaSpec> spec;
+  if (pc.sync_queue) {
+    spec = std::make_unique<SyncQueueSpec>(kY);
+  } else {
+    spec = std::make_unique<ExchangerSpec>(kE, pc.method);
+  }
+  std::mt19937 rng(pc.seed);
+  PairingTally tally;
+  for (int iter = 0; iter < 2000; ++iter) {
+    const std::size_t threads = 2 + rng() % 4;
+    const std::size_t per_thread = 1 + rng() % 3;
+    const auto values = static_cast<std::int64_t>(1 + rng() % 4);
+    History h = pairing_run(rng, pc, threads, per_thread, values);
+    const std::size_t edits = rng() % 3;
+    for (std::size_t e = 0; e < edits; ++e) h = mutate_pairing(rng, h);
+    if (rng() % 3 == 0) h = drop_responses(h, 1 + rng() % 3);
+    if (!h.well_formed()) continue;
+    for (bool cp : {true, false}) {
+      expect_pairing_agrees(*spec, h, cp, tally);
+      if (iter % 8 == 0) {
+        expect_pairing_agrees(*spec, add_foreign(rng, h), cp, tally);
+      }
+    }
+  }
+  EXPECT_EQ(tally.declined, 0u);
+  EXPECT_GT(tally.accepts, 0u);
+  EXPECT_GT(tally.rejects, 0u);
+  EXPECT_GT(tally.pending_partners, 0u);
+  std::printf("[ %s ] %zu checks: %zu accepts (%zu with a pending partner), "
+              "%zu rejects, %zu declined\n",
+              pc.name, tally.checks, tally.accepts, tally.pending_partners,
+              tally.rejects, tally.declined);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, PairingOrderDifferential,
+    ::testing::Values(
+        PairingCase{"Exchanger", false, Symbol{"exchange"}, 20261020u},
+        PairingCase{"Rendezvous", false, Symbol{"rendezvous"}, 20261021u},
+        PairingCase{"SyncQueue", true, Symbol{}, 20261022u}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+CalCheckResult pairing_path(const CaSpec& spec, const History& h,
+                            bool complete_pending = true) {
+  CalCheckOptions o;
+  o.complete_pending = complete_pending;
+  return CalChecker(spec, o).check(h);
+}
+
+bool engine_accepts(const CaSpec& spec, const History& h,
+                    bool complete_pending = true) {
+  CalCheckOptions o;
+  o.order_check = false;
+  o.complete_pending = complete_pending;
+  return CalChecker(spec, o).check(h).ok;
+}
+
+TEST(PairingOrder, ThreeThreadsExchangingOneValueReject) {
+  // Every exchange offers 1 and receives 1, all overlapping: pairs take
+  // two, so one is left without a partner.
+  const ExchangerSpec spec(kE);
+  // With `pending`, a fourth exchange of 1 is invoked alongside them and
+  // never responds.
+  const auto run = [](bool pending) {
+    HistoryBuilder b;
+    for (ThreadId t = 1; t <= 3; ++t) b.call(t, "E", "exchange", iv(1));
+    if (pending) b.call(4, "E", "exchange", iv(1));
+    for (ThreadId t = 1; t <= 3; ++t) b.ret(t, got(1));
+    return b.history();
+  };
+  const History three = run(false);
+  const CalCheckResult r = pairing_path(spec, three);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.order_checked);
+  EXPECT_FALSE(engine_accepts(spec, three));
+  // The pending fourth completes the last pair.
+  const History four = run(true);
+  const CalCheckResult r4 = pairing_path(spec, four);
+  EXPECT_TRUE(r4.ok);
+  EXPECT_TRUE(r4.order_checked);
+  EXPECT_TRUE(engine_accepts(spec, four));
+  EXPECT_FALSE(pairing_path(spec, four, /*complete_pending=*/false).ok);
+}
+
+TEST(PairingOrder, PendingPartnerAcceptsOnlyUnderCompletion) {
+  const ExchangerSpec spec(kE);
+  const History h = HistoryBuilder()
+                        .call(1, "E", "exchange", iv(3))
+                        .call(2, "E", "exchange", iv(4))
+                        .ret(1, got(4))
+                        .history();
+  const CalCheckResult r = pairing_path(spec, h);
+  ASSERT_TRUE(r.ok);
+  EXPECT_TRUE(r.order_checked);
+  ASSERT_EQ(r.witness->size(), 1u);
+  EXPECT_EQ(r.witness->elements()[0],
+            CaElement::swap(kE, Symbol{"exchange"}, 1, 3, 2, 4));
+  const CalCheckResult dropped = pairing_path(spec, h, false);
+  EXPECT_FALSE(dropped.ok);
+  EXPECT_TRUE(dropped.order_checked);
+  EXPECT_FALSE(engine_accepts(spec, h, false));
+
+  // The sync queue's take and put stand in as partners the same way.
+  const SyncQueueSpec sq(kY);
+  const History take_waits = HistoryBuilder()
+                                 .call(2, "Y", "take")
+                                 .op(1, "Y", "put", iv(5), kTrue)
+                                 .history();
+  const CalCheckResult t = pairing_path(sq, take_waits);
+  ASSERT_TRUE(t.ok);
+  ASSERT_EQ(t.witness->size(), 1u);
+  EXPECT_EQ(t.witness->elements()[0].ops().size(), 2u);
+  EXPECT_FALSE(pairing_path(sq, take_waits, false).ok);
+  const History put_waits = HistoryBuilder()
+                                .call(1, "Y", "put", iv(5))
+                                .op(2, "Y", "take", Value::unit(), got(5))
+                                .history();
+  EXPECT_TRUE(pairing_path(sq, put_waits).ok);
+  const History wrong_value = HistoryBuilder()
+                                  .call(1, "Y", "put", iv(6))
+                                  .op(2, "Y", "take", Value::unit(), got(5))
+                                  .history();
+  EXPECT_FALSE(pairing_path(sq, wrong_value).ok);
+  EXPECT_FALSE(engine_accepts(sq, wrong_value));
+}
+
+TEST(PairingOrder, PartnerThatRespondedFirstRejects) {
+  // The values line up, but t2's exchange responded before t1's began:
+  // the two never overlap, so they cannot form one element.
+  const ExchangerSpec spec(kE);
+  const History h = HistoryBuilder()
+                        .op(2, "E", "exchange", iv(4), got(3))
+                        .op(1, "E", "exchange", iv(3), got(4))
+                        .history();
+  const CalCheckResult r = pairing_path(spec, h);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.order_checked);
+  EXPECT_FALSE(engine_accepts(spec, h));
+}
+
+TEST(PairingOrder, CompletedPartnerDominatesPending) {
+  // At t1's response both t2 (completed) and t3 (pending) could pair with
+  // it. t4 wants 2 as well but offers 3, which t2 does not want: only the
+  // pending t3 can serve it. Taking t3 for t1 would strand t4 (and t2).
+  const ExchangerSpec spec(kE);
+  const History h = HistoryBuilder()
+                        .call(1, "E", "exchange", iv(1))
+                        .call(2, "E", "exchange", iv(2))
+                        .call(3, "E", "exchange", iv(2))
+                        .ret(1, got(2))
+                        .call(4, "E", "exchange", iv(3))
+                        .ret(2, got(1))
+                        .ret(4, got(2))
+                        .history();
+  const CalCheckResult r = pairing_path(spec, h);
+  ASSERT_TRUE(r.ok);
+  EXPECT_TRUE(r.order_checked);
+  EXPECT_TRUE(engine_accepts(spec, h));
+  ASSERT_EQ(r.witness->size(), 2u);
+  EXPECT_EQ(r.witness->elements()[0],
+            CaElement::swap(kE, Symbol{"exchange"}, 1, 1, 2, 2));
+  EXPECT_EQ(r.witness->elements()[1],
+            CaElement::swap(kE, Symbol{"exchange"}, 3, 2, 4, 3));
+  EXPECT_FALSE(pairing_path(spec, h, false).ok);
+  EXPECT_FALSE(engine_accepts(spec, h, false));
+}
+
+TEST(PairingOrder, EarliestDeadlinePartnerFirst) {
+  // t2 and t3 both mirror t1 at its response. t4 mirrors them too, but is
+  // invoked after t2 responded: only t3 is left for it. The sweep gives t1
+  // the partner that responds first.
+  const ExchangerSpec spec(kE);
+  const History h = HistoryBuilder()
+                        .call(1, "E", "exchange", iv(1))
+                        .call(2, "E", "exchange", iv(2))
+                        .call(3, "E", "exchange", iv(2))
+                        .ret(1, got(2))
+                        .ret(2, got(1))
+                        .call(4, "E", "exchange", iv(1))
+                        .ret(4, got(2))
+                        .ret(3, got(1))
+                        .history();
+  const CalCheckResult r = pairing_path(spec, h);
+  ASSERT_TRUE(r.ok);
+  EXPECT_TRUE(r.order_checked);
+  EXPECT_TRUE(engine_accepts(spec, h));
+  ASSERT_EQ(r.witness->size(), 2u);
+  EXPECT_EQ(r.witness->elements()[1],
+            CaElement::swap(kE, Symbol{"exchange"}, 3, 2, 4, 1));
+}
+
+TEST(PairingOrder, ShapesTheSpecNeverStepsReject) {
+  const ExchangerSpec ex(kE);
+  const SyncQueueSpec sq(kY);
+  const History bad_failure =
+      HistoryBuilder().op(1, "E", "exchange", iv(1), Value::pair(false, 2))
+          .history();
+  const History foreign_method =
+      HistoryBuilder().op(1, "E", "swap", iv(1), Value::pair(false, 1))
+          .history();
+  const History bad_timeout =
+      HistoryBuilder().op(1, "Y", "take", Value::unit(), Value::pair(false, 3))
+          .history();
+  const History put_not_bool =
+      HistoryBuilder().op(1, "Y", "put", iv(1), got(1)).history();
+  for (const auto& [spec, h] :
+       {std::pair<const CaSpec*, History>{&ex, bad_failure},
+        std::pair<const CaSpec*, History>{&ex, foreign_method},
+        std::pair<const CaSpec*, History>{&sq, bad_timeout},
+        std::pair<const CaSpec*, History>{&sq, put_not_bool}}) {
+    const CalCheckResult r = pairing_path(*spec, h);
+    EXPECT_FALSE(r.ok) << h.to_string();
+    EXPECT_TRUE(r.order_checked) << h.to_string();
+    EXPECT_FALSE(engine_accepts(*spec, h)) << h.to_string();
+  }
+  // A pending foreign invocation is dropped, not rejected.
+  const History pending_foreign = HistoryBuilder()
+                                      .call(2, "E", "swap", iv(9))
+                                      .op(1, "E", "exchange", iv(1),
+                                          Value::pair(false, 1))
+                                      .history();
+  EXPECT_TRUE(pairing_path(ex, pending_foreign).ok);
 }
 
 }  // namespace

@@ -306,7 +306,8 @@ TEST(CalEngineEquivalence, SequentialWitnessIsDedupModeInvariant) {
     rng.seed(seed);
     const History h = random_exchanger_history(rng, 4, 3);
     CalCheckOptions fp_opts;
-    CalCheckOptions exact_opts;
+    fp_opts.order_check = false;  // the subject is the engine's witness
+    CalCheckOptions exact_opts = fp_opts;
     exact_opts.exact_visited = true;
     const CalCheckResult a = CalChecker(spec, fp_opts).check(h);
     const CalCheckResult b = CalChecker(spec, exact_opts).check(h);
@@ -324,6 +325,15 @@ TEST(CalEngineEquivalence, SequentialWitnessIsDedupModeInvariant) {
 // search on the same thread — from a spec step, or from a collect sink —
 // must leave the outer search's enumeration untouched.
 
+/// Engine-only options: the nested searches are the subject, and the
+/// exchanger's order path would answer without one.
+CalCheckOptions engine_opts(std::size_t threads = 1) {
+  CalCheckOptions opts;
+  opts.threads = threads;
+  opts.order_check = false;
+  return opts;
+}
+
 /// The exchanger spec, running a whole inner CAL check on every step.
 class NestingSpec final : public CaSpec {
  public:
@@ -337,7 +347,7 @@ class NestingSpec final : public CaSpec {
   std::vector<CaStepResult> step(
       const SpecState& state, Symbol object,
       const std::vector<Operation>& ops) const override {
-    EXPECT_TRUE(CalChecker(inner_).check(nested_).ok);
+    EXPECT_TRUE(CalChecker(inner_, engine_opts()).check(nested_).ok);
     return inner_.step(state, object, ops);
   }
   bool compatible(Symbol object,
@@ -359,8 +369,7 @@ TEST(CalEngineEquivalence, NestedCheckInsideSpecStepLeavesOuterIntact) {
     rng.seed(seed);
     const History h = random_exchanger_history(rng, 4, 3);
     for (const std::size_t threads : {1u, 2u}) {
-      CalCheckOptions opts;
-      opts.threads = threads;
+      const CalCheckOptions opts = engine_opts(threads);
       const CalCheckResult plain = CalChecker(spec, opts).check(h);
       const CalCheckResult nested_run = CalChecker(nesting, opts).check(h);
       ASSERT_EQ(plain.ok, nested_run.ok);
@@ -386,7 +395,7 @@ TEST(CalEngineEquivalence, NestedCheckInsideCollectSinkLeavesOuterIntact) {
     const engine::SearchStats stats = driver.run_collect(
         [&](const auto&, const std::vector<CaElement>& path) {
           if (nest) {
-            EXPECT_TRUE(CalChecker(spec).check(nested).ok);
+            EXPECT_TRUE(CalChecker(spec, engine_opts()).check(nested).ok);
           }
           goals.push_back(path);
         });

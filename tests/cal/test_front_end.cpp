@@ -640,6 +640,19 @@ TEST(FrontEndDifferential, HistoryTablesMatchReference) {
       EXPECT_EQ(got[k].inv_index, want[k].inv_index);
       EXPECT_EQ(got[k].res_index, want[k].res_index);
     }
+    // The checkers' one-walk entry: records iff well-formed, and then the
+    // same records.
+    const std::optional<std::vector<OpRecord>> checked =
+        h.well_formed_operations();
+    ASSERT_EQ(checked.has_value(), reference::well_formed(h));
+    if (checked) {
+      ASSERT_EQ(checked->size(), want.size());
+      for (std::size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ((*checked)[k].op, want[k].op);
+        EXPECT_EQ((*checked)[k].inv_index, want[k].inv_index);
+        EXPECT_EQ((*checked)[k].res_index, want[k].res_index);
+      }
+    }
     ASSERT_EQ(h.drop_pending(), reference::drop_pending(h));
   }
   // Many distinct thread ids grow the flat table past its first size.

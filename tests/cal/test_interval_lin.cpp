@@ -18,6 +18,31 @@ TEST(IntervalLin, EmptyHistoryAccepted) {
   EXPECT_TRUE(checker.check(History{}));
 }
 
+TEST(IntervalLin, IllFormedHistoriesRejected) {
+  // A hand-off that would be accepted but for one action breaking
+  // well-formedness: a nested invocation, a stray response, a response
+  // naming another method.
+  const Symbol put{"put"};
+  const Symbol take{"take"};
+  std::vector<History> bad(3);
+  bad[0].invoke(1, kQ, put, iv(5));
+  bad[0].invoke(1, kQ, take);
+  bad[0].respond(1, kQ, take, Value::pair(false, 0));
+  bad[1].invoke(1, kQ, put, iv(5));
+  bad[1].respond(2, kQ, take, Value::pair(true, 5));
+  bad[1].respond(1, kQ, put, Value::boolean(true));
+  bad[2].invoke(1, kQ, put, iv(5));
+  bad[2].respond(1, kQ, take, Value::boolean(false));
+  SyncQueueIntervalSpec spec(kQ);
+  IntervalLinChecker checker(spec);
+  for (const History& h : bad) {
+    ASSERT_FALSE(h.well_formed()) << h.to_string();
+    const IntervalCheckResult r = checker.check(h);
+    EXPECT_FALSE(r.ok) << h.to_string();
+    EXPECT_EQ(r.visited_states, 0u);
+  }
+}
+
 TEST(IntervalLin, OverlappingHandoffAccepted) {
   SyncQueueIntervalSpec spec(kQ);
   IntervalLinChecker checker(spec);

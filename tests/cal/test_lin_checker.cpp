@@ -18,6 +18,37 @@ TEST(LinChecker, EmptyHistoryLinearizable) {
   EXPECT_TRUE(checker.check(History{}));
 }
 
+TEST(LinChecker, IllFormedHistoriesRejectOnBothPaths) {
+  // Each is a linearizable push(1) / pop ▷ 1 run but for one action that
+  // breaks well-formedness: a nested invocation, a stray response, a
+  // response naming another method. The walk that extracts the
+  // operations finds it; neither the order path nor the engine runs.
+  const Symbol s{"S"};
+  const Symbol push{"push"};
+  const Symbol pop{"pop"};
+  std::vector<History> bad(3);
+  bad[0].invoke(1, s, push, iv(1));
+  bad[0].invoke(1, s, pop);
+  bad[0].respond(1, s, pop, Value::pair(true, 1));
+  bad[1].invoke(1, s, push, iv(1));
+  bad[1].respond(1, s, push, Value::boolean(true));
+  bad[1].respond(2, s, pop, Value::pair(true, 1));
+  bad[2].invoke(1, s, push, iv(1));
+  bad[2].respond(1, s, pop, Value::boolean(true));
+  StackSpec spec(s);
+  for (const bool order_check : {true, false}) {
+    LinCheckOptions opts;
+    opts.order_check = order_check;
+    for (const History& h : bad) {
+      ASSERT_FALSE(h.well_formed()) << h.to_string();
+      const LinCheckResult r = LinChecker(spec, opts).check(h);
+      EXPECT_FALSE(r.ok) << h.to_string();
+      EXPECT_FALSE(r.order_checked);
+      EXPECT_EQ(r.visited_states, 0u);
+    }
+  }
+}
+
 TEST(LinChecker, SequentialStackRuns) {
   StackSpec spec(Symbol{"S"});
   LinChecker checker(spec);

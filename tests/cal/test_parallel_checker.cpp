@@ -235,9 +235,10 @@ TEST(ParallelCheckerStress, WideOverlapUnderContention) {
   // visited set sees maximal contention.
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
+  opts.order_check = false;  // the subject is the parallel engine
+  CalChecker sequential(spec, opts);
   opts.threads = 8;
   CalChecker parallel(spec, opts);
-  CalChecker sequential(spec);
   for (int round = 0; round < 5; ++round) {
     const History ok = wide_overlap_history(7, /*corrupt_one=*/false);
     const History bad = wide_overlap_history(7, /*corrupt_one=*/true);
@@ -253,6 +254,7 @@ TEST(ParallelCheckerStress, MaxVisitedCapStillTerminates) {
   CalCheckOptions opts;
   opts.threads = 8;
   opts.max_visited = 16;
+  opts.order_check = false;  // the cap binds the engine
   CalChecker checker(spec, opts);
   const History h = wide_overlap_history(8, /*corrupt_one=*/true);
   CalCheckResult r = checker.check(h);
@@ -264,6 +266,7 @@ TEST(ParallelChecker, ZeroThreadsMeansHardwareConcurrency) {
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
   opts.threads = 0;
+  opts.order_check = false;  // the subject is the parallel engine
   CalChecker checker(spec, opts);
   EXPECT_TRUE(checker.check(wide_overlap_history(4, false)));
 }

@@ -197,7 +197,8 @@ TEST(StateCompressionStress, FingerprintsUseLessMemory) {
   ExchangerSpec spec(kE, kEx);
   const History h = wide_overlap_history(7, /*corrupt_one=*/true);
   CalCheckOptions fp_opts;
-  CalCheckOptions exact_opts;
+  fp_opts.order_check = false;  // the subject is the engine's visited set
+  CalCheckOptions exact_opts = fp_opts;
   exact_opts.exact_visited = true;
   CalCheckResult fp = CalChecker(spec, fp_opts).check(h);
   CalCheckResult exact = CalChecker(spec, exact_opts).check(h);
@@ -213,7 +214,9 @@ TEST(StateCompression, MemoAndPruningCountersPopulated) {
   // hits, and the exchanger pre-filter must prune mismatched pairs.
   ExchangerSpec spec(kE, kEx);
   const History h = wide_overlap_history(6, /*corrupt_one=*/true);
-  CalCheckResult r = CalChecker(spec).check(h);
+  CalCheckOptions opts;
+  opts.order_check = false;  // the counters are the engine's
+  CalCheckResult r = CalChecker(spec, opts).check(h);
   EXPECT_FALSE(r.ok);
   EXPECT_GT(r.step_cache_hits + r.step_cache_misses, 0u);
   EXPECT_GT(r.pruned_subsets, 0u);

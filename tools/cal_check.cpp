@@ -23,8 +23,9 @@
 //                     set of spec-interchangeable operations fired
 //                     (CalCheckOptions::symmetry); verdict unchanged
 //   --no-order-check  force the engine search even when the spec offers a
-//                     polynomial order_check decision (stack, queue, pq),
-//                     for --checker cal and lin alike. The verdict line
+//                     polynomial order_check decision (exchanger,
+//                     sync-queue, stack, queue, pq), for --checker cal and
+//                     lin alike. The verdict line
 //                     always names the path that ran: `path=order` with
 //                     its value/zone/bump counters, or `path=engine` with
 //                     the search counters. --follow always streams through
@@ -50,8 +51,8 @@
 //   pq:<obj>                     sequential priority queue (insert/deleteMin)
 //   register:<obj>               sequential read/write register
 // Sequential specs work with every checker (wrapped in SeqAsCaSpec for
-// cal/set-lin); CA-specs reject --checker lin. stack, queue and pq carry
-// the polynomial order-check fast path.
+// cal/set-lin); CA-specs reject --checker lin. exchanger, sync-queue,
+// stack, queue and pq carry the polynomial order-check fast path.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -165,7 +166,9 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     return o;
   }
   const History& history = *parsed.value;
-  if (!history.well_formed()) {
+  const std::optional<std::vector<OpRecord>> ops =
+      history.well_formed_operations();
+  if (!ops) {
     o.out = "REJECT: history is not well-formed\n";
     o.code = 1;
     return o;
@@ -178,7 +181,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     copts.symmetry = opt.symmetry;
     copts.order_check = opt.order_check;
     CalChecker checker(*spec.ca, copts);
-    CalCheckResult r = checker.check(history);
+    CalCheckResult r = checker.check(*ops);
     std::string stats;
     if (r.order_checked) {
       stats = "path=order, " + std::to_string(r.order_values) + " values, " +
@@ -232,7 +235,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     LinCheckOptions lopts;
     lopts.order_check = opt.order_check;
     LinChecker checker(*spec.seq, lopts);
-    LinCheckResult r = checker.check(history);
+    LinCheckResult r = checker.check(*ops);
     const std::string stats =
         r.order_checked
             ? std::string("path=order")
