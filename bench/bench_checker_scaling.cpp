@@ -131,17 +131,12 @@ void record_compression(benchmark::State& state, const CalCheckResult& r) {
 }
 
 void BM_CalChecker_OverlapWidth(benchmark::State& state) {
-  // threads=1 is the sequential engine (the historical series); higher
-  // counts exercise the work-stealing pool on the same workload — the
-  // speedup claim of the parallel-search PR is threads=8 vs threads=1 on
-  // the wide widths. exact=1 stores full visited keys
-  // (CalCheckOptions::exact_visited) instead of 128-bit fingerprints —
-  // the T-MEM before/after axis.
+  // exact=1 stores full visited keys (CalCheckOptions::exact_visited)
+  // instead of 128-bit fingerprints — the T-MEM before/after axis.
   const History h = wide_overlap_history(static_cast<std::size_t>(state.range(0)));
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
   CalCheckOptions opts = cal_options(/*order_check=*/false);
-  opts.threads = static_cast<std::size_t>(state.range(1));
-  opts.exact_visited = state.range(2) != 0;
+  opts.exact_visited = state.range(1) != 0;
   CalChecker checker(spec, opts);
   CalCheckResult r;
   for (auto _ : state) {
@@ -151,35 +146,28 @@ void BM_CalChecker_OverlapWidth(benchmark::State& state) {
   record_compression(state, r);
 }
 BENCHMARK(BM_CalChecker_OverlapWidth)
-    ->ArgNames({"width", "threads", "exact"})
-    ->Args({2, 1, 0})
-    ->Args({4, 1, 0})
-    ->Args({6, 1, 0})
-    ->Args({6, 1, 1})
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({10, 1, 0})
-    ->Args({10, 1, 1})
-    ->Args({8, 2, 0})
-    ->Args({8, 8, 0})
-    ->Args({10, 2, 0})
-    ->Args({10, 8, 0})
-    ->Args({12, 1, 0})
-    ->Args({12, 1, 1})
-    ->Args({12, 8, 0});
+    ->ArgNames({"width", "exact"})
+    ->Args({2, 0})
+    ->Args({4, 0})
+    ->Args({6, 0})
+    ->Args({6, 1})
+    ->Args({8, 0})
+    ->Args({8, 1})
+    ->Args({10, 0})
+    ->Args({10, 1})
+    ->Args({12, 0})
+    ->Args({12, 1});
 
 void BM_CalChecker_OverlapWidth_Reject(benchmark::State& state) {
-  // Rejection needs full exhaustion — no early-witness cancellation — so
-  // this is the purest parallel-search scaling series, and the one where
-  // the visited set peaks (T-MEM's headline numbers).
+  // Rejection needs full exhaustion — no early witness — so this is the
+  // series where the visited set peaks (T-MEM's headline numbers).
   History h = wide_overlap_history(static_cast<std::size_t>(state.range(0)));
   std::vector<Action> actions = h.actions();
   actions.back().payload = Value::pair(true, 424242);  // impossible swap
   const History bad{std::move(actions)};
   ExchangerSpec spec(Symbol{"E"}, Symbol{"exchange"});
   CalCheckOptions opts = cal_options(/*order_check=*/false);
-  opts.threads = static_cast<std::size_t>(state.range(1));
-  opts.exact_visited = state.range(2) != 0;
+  opts.exact_visited = state.range(1) != 0;
   CalChecker checker(spec, opts);
   CalCheckResult r;
   for (auto _ : state) {
@@ -189,15 +177,11 @@ void BM_CalChecker_OverlapWidth_Reject(benchmark::State& state) {
   record_compression(state, r);
 }
 BENCHMARK(BM_CalChecker_OverlapWidth_Reject)
-    ->ArgNames({"width", "threads", "exact"})
-    ->Args({7, 1, 0})
-    ->Args({7, 1, 1})
-    ->Args({7, 2, 0})
-    ->Args({7, 8, 0})
-    ->Args({8, 1, 0})
-    ->Args({8, 1, 1})
-    ->Args({8, 2, 0})
-    ->Args({8, 8, 0});
+    ->ArgNames({"width", "exact"})
+    ->Args({7, 0})
+    ->Args({7, 1})
+    ->Args({8, 0})
+    ->Args({8, 1});
 
 /// The pairing sweep on the overlap-width histories: every failure is a
 /// singleton at its response (accept); the poisoned last response finds

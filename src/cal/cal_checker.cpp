@@ -5,7 +5,6 @@
 
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal {
 
@@ -24,28 +23,6 @@ std::vector<CaStepResult> SeqAsCaSpec::step(
   }
   return out;
 }
-
-namespace {
-
-template <bool kShared, typename Driver>
-CalCheckResult collect_result(Driver& driver,
-                              engine::CalPolicy<kShared>& policy) {
-  const engine::SearchStats stats = driver.run();
-  CalCheckResult result;
-  result.ok = stats.found;
-  result.exhausted = stats.exhausted;
-  result.visited_states = stats.visited_states;
-  result.visited_bytes = stats.visited_bytes;
-  result.fired_elements = policy.fired_elements();
-  result.pruned_subsets = policy.pruned_subsets();
-  result.symmetry_merged = policy.symmetry_merged();
-  result.step_cache_hits = policy.step_cache_hits();
-  result.step_cache_misses = policy.step_cache_misses();
-  if (result.ok) result.witness = CaTrace(driver.witness());
-  return result;
-}
-
-}  // namespace
 
 CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
   if (options_.order_check) {
@@ -80,18 +57,22 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    engine::CalPolicy<true> policy(ops, spec_, options_.complete_pending,
-                                   options_.symmetry);
-    engine::ParallelSearch<engine::CalPolicy<true>> driver(policy, sopts,
-                                                           threads);
-    return collect_result(driver, policy);
-  }
-  engine::CalPolicy<false> policy(ops, spec_, options_.complete_pending,
-                                  options_.symmetry);
-  engine::SequentialSearch<engine::CalPolicy<false>> driver(policy, sopts);
-  return collect_result(driver, policy);
+  engine::CalPolicy policy(ops, spec_, options_.complete_pending,
+                           options_.symmetry);
+  engine::SequentialSearch<engine::CalPolicy> driver(policy, sopts);
+  const engine::SearchStats stats = driver.run();
+  CalCheckResult result;
+  result.ok = stats.found;
+  result.exhausted = stats.exhausted;
+  result.visited_states = stats.visited_states;
+  result.visited_bytes = stats.visited_bytes;
+  result.fired_elements = policy.fired_elements();
+  result.pruned_subsets = policy.pruned_subsets();
+  result.symmetry_merged = policy.symmetry_merged();
+  result.step_cache_hits = policy.step_cache_hits();
+  result.step_cache_misses = policy.step_cache_misses();
+  if (result.ok) result.witness = CaTrace(driver.witness());
+  return result;
 }
 
 CalCheckResult CalChecker::check(const History& history) const {

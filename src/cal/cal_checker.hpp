@@ -36,14 +36,6 @@ struct CalCheckOptions {
   /// Also try firing pending invocations (completion by response extension).
   /// When false, pending invocations are always dropped.
   bool complete_pending = true;
-  /// Worker threads for the search (1 = the sequential engine, bit-for-bit
-  /// the historical behavior including the witness; 0 = one per hardware
-  /// thread). With more than one thread the top levels of the DFS fork
-  /// into work-stealing pool tasks that share the deduplication table and
-  /// cooperatively cancel on the first witness: the verdict is identical
-  /// to the sequential one, but the witness may be any (valid) witness and
-  /// `visited_states` may vary slightly from run to run.
-  std::size_t threads = 1;
   /// Deduplicate visited nodes by their full encodings instead of the
   /// default 128-bit fingerprints (cal/fingerprint.hpp). Fingerprints
   /// shrink the visited set to 16 bytes/node at a ~2^-64 per-pair risk of

@@ -84,7 +84,6 @@ struct CalExpandScratch {
 /// allocates nothing once the scratch has grown: the enabled set comes
 /// from one pass over the response order (HistoryIndex::fired_prefix), and
 /// operations are grouped by a dense per-history object index.
-template <bool kShared>
 class CalExpansion {
  public:
   /// `pending_candidates`: whether pending invocations may fire.
@@ -142,7 +141,7 @@ class CalExpansion {
   }
 
   [[nodiscard]] std::size_t pruned_subsets() const {
-    return read_counter(pruned_subsets_);
+    return pruned_subsets_;
   }
   [[nodiscard]] std::size_t step_cache_hits() const { return memo_.hits(); }
   [[nodiscard]] std::size_t step_cache_misses() const {
@@ -211,7 +210,7 @@ class CalExpansion {
       s.chosen_ops.push_back(ops_[candidates[i]].op);
       bool keep_going = true;
       if (!spec_.compatible(object, s.chosen_ops)) {
-        bump(pruned_subsets_);
+        ++pruned_subsets_;
       } else {
         keep_going =
             try_subsets(state, object, candidates, i + 1, remaining - 1, s,
@@ -231,11 +230,10 @@ class CalExpansion {
   /// Dense object index of each operation, and the number of objects.
   std::vector<std::uint32_t> object_of_;
   std::size_t objects_ = 0;
-  StepMemoFor<kShared, CaStepResult> memo_;
-  Counter<kShared> pruned_subsets_{0};
+  StepMemo<CaStepResult> memo_;
+  std::size_t pruned_subsets_ = 0;
 };
 
-template <bool kShared>
 class CalPolicy {
  public:
   struct Node {
@@ -299,7 +297,7 @@ class CalPolicy {
         if (mask_test(n.fired, i)) ++fired;
       }
       if (fired != 0 && fired != members.size()) {
-        bump(symmetry_merged_);
+        ++symmetry_merged_;
         return;
       }
     }
@@ -316,7 +314,7 @@ class CalPolicy {
         [&](std::span<const std::size_t> chosen, std::size_t newly_completed,
             const std::vector<CaStepResult>& outcomes) {
           for (const CaStepResult& sr : outcomes) {
-            bump(fired_elements_);
+            ++fired_elements_;
             Node next{sr.next, node.fired,
                       node.fired_completed + newly_completed};
             for (std::size_t i : chosen) mask_set(next.fired, i);
@@ -327,13 +325,13 @@ class CalPolicy {
   }
 
   [[nodiscard]] std::size_t fired_elements() const {
-    return read_counter(fired_elements_);
+    return fired_elements_;
   }
   [[nodiscard]] std::size_t pruned_subsets() const {
     return expansion_.pruned_subsets();
   }
   [[nodiscard]] std::size_t symmetry_merged() const {
-    return read_counter(symmetry_merged_);
+    return symmetry_merged_;
   }
   [[nodiscard]] std::size_t step_cache_hits() const {
     return expansion_.step_cache_hits();
@@ -414,13 +412,13 @@ class CalPolicy {
 
   const std::vector<OpRecord>& ops_;
   const CaSpec& spec_;
-  CalExpansion<kShared> expansion_;
+  CalExpansion expansion_;
   /// Interchangeability groups (≥ 2 members each) and the bit-mask of all
   /// grouped operations; both empty when symmetry is off or inapplicable.
   std::vector<std::vector<std::size_t>> groups_;
   StateMask grouped_mask_;
-  Counter<kShared> fired_elements_{0};
-  Counter<kShared> symmetry_merged_{0};
+  std::size_t fired_elements_ = 0;
+  std::size_t symmetry_merged_ = 0;
 };
 
 }  // namespace cal::engine

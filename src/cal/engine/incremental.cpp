@@ -8,7 +8,6 @@
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
 #include "cal/history_index.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal::engine {
 
@@ -31,7 +30,6 @@ std::size_t local_index(const std::vector<std::size_t>& ids, std::size_t gid) {
 /// distinct). Goals — nodes with every completed active operation fired —
 /// are collect-mode sinks: their pending-only continuations stay reachable
 /// from them in the next window, so not expanding them loses nothing.
-template <bool kShared>
 class StreamPolicy {
  public:
   struct Node {
@@ -144,7 +142,7 @@ class StreamPolicy {
   const std::vector<OpRecord>& ops_;
   const std::vector<std::size_t>& ids_;
   const std::vector<FrontierEntry>& frontier_;
-  CalExpansion<kShared> expansion_;
+  CalExpansion expansion_;
 };
 
 }  // namespace
@@ -336,8 +334,8 @@ void IncrementalChecker::check_window() {
   sopts.exact_visited = options_.exact_visited;
 
   std::vector<FrontierEntry> next;
-  const auto sink = [&](const auto& node, const std::vector<CaElement>&
-                                              prefix) {
+  const auto sink = [&](const StreamPolicy::Node& node,
+                        const std::vector<CaElement>& prefix) {
     FrontierEntry entry;
     entry.state = node.state;
     for (std::size_t l = 0; l < active_ids_.size(); ++l) {
@@ -358,17 +356,9 @@ void IncrementalChecker::check_window() {
     next.push_back(std::move(entry));
   };
 
-  engine::SearchStats stats;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    StreamPolicy<true> policy(active_ops_, active_ids_, spec_, frontier_);
-    ParallelSearch<StreamPolicy<true>> driver(policy, sopts, threads);
-    stats = driver.run_collect(sink);
-  } else {
-    StreamPolicy<false> policy(active_ops_, active_ids_, spec_, frontier_);
-    SequentialSearch<StreamPolicy<false>> driver(policy, sopts);
-    stats = driver.run_collect(sink);
-  }
+  StreamPolicy policy(active_ops_, active_ids_, spec_, frontier_);
+  SequentialSearch<StreamPolicy> driver(policy, sopts);
+  const SearchStats stats = driver.run_collect(sink);
   status_.visited_states += stats.visited_states;
 
   if (stats.exhausted) {

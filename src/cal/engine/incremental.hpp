@@ -69,9 +69,6 @@ struct IncrementalOptions {
   /// finish(): explanations that fired a never-completed operation are
   /// discarded.
   bool complete_pending = true;
-  /// Worker threads per window search (engine parallel driver); 1 =
-  /// sequential, 0 = one per hardware thread.
-  std::size_t threads = 1;
   /// Exact stored-key dedup instead of 128-bit fingerprints.
   bool exact_visited = false;
   /// Keep a witness trace for every frontier entry. It is the one piece of

@@ -29,7 +29,6 @@
 
 namespace cal::engine {
 
-template <bool kShared>
 class IntervalPolicy {
  public:
   struct Node {
@@ -196,7 +195,7 @@ class IntervalPolicy {
   const IntervalSpec& spec_;
   bool complete_pending_;
   HistoryIndex index_;
-  StepMemoFor<kShared, IntervalRoundResult> memo_;
+  StepMemo<IntervalRoundResult> memo_;
 };
 
 }  // namespace cal::engine

@@ -22,8 +22,9 @@
 //     spec-step memo (cal/step_cache.hpp) builds its payload in the same
 //     call that inserts the key.
 //
-// An empty table allocates nothing. Not thread-safe: the parallel driver
-// shards it behind striped locks (cal/parallel/sharded_set.hpp).
+// An empty table allocates nothing. Not thread-safe: the explorer's
+// parallel walk shards it behind striped locks
+// (cal/parallel/sharded_set.hpp).
 #pragma once
 
 #include <algorithm>

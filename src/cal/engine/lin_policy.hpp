@@ -22,7 +22,6 @@
 
 namespace cal::engine {
 
-template <bool kShared>
 class LinPolicy {
  public:
   struct Node {
@@ -96,7 +95,7 @@ class LinPolicy {
   const SequentialSpec& spec_;
   bool complete_pending_;
   HistoryIndex index_;
-  StepMemoFor<kShared, SeqStepResult> memo_;
+  StepMemo<SeqStepResult> memo_;
 };
 
 }  // namespace cal::engine

@@ -1,12 +1,13 @@
-// Shared plumbing of the search policies (engine/{cal,lin,interval}_policy
-// and the explorer's ExplorePolicy in sched/explorer.cpp).
+// Shared plumbing of the search policies (engine/{cal,lin,interval}_policy,
+// the streaming window policy in engine/incremental.cpp, and the
+// explorer's ExplorePolicy in sched/explorer.cpp).
 //
-// Each policy is a template over `bool kShared`: the false
-// instantiation is what the sequential driver runs (plain counters, the
-// flat StepMemo), the true instantiation is safe to share across the
-// parallel driver's workers (relaxed atomic counters, the striped-lock
-// ShardedStepMemo). These aliases keep that choice in one place so the
-// policies themselves contain only search semantics.
+// The checker policies run only on the sequential driver: plain counters
+// and a per-search StepMemo. The explorer's policy is a template over
+// `bool kShared`, because its threads > 1 walk shares one policy across
+// the parallel driver's workers; the counter helpers below pick plain or
+// relaxed-atomic counters for it in one place, so the policy itself
+// contains only search semantics.
 #pragma once
 
 #include <atomic>
@@ -22,15 +23,9 @@
 
 namespace cal::engine {
 
-/// The spec-step memo matching the driver: per-search flat table for the
-/// sequential driver, sharded striped-lock tables for the parallel one.
-/// Both hand out references that stay valid across the recursion.
-template <bool kShared, typename Outcome>
-using StepMemoFor =
-    std::conditional_t<kShared, ShardedStepMemo<Outcome>, StepMemo<Outcome>>;
-
 /// A diagnostic counter (or high-water mark, or flag word) matching the
-/// driver.
+/// driver: plain for the sequential one, relaxed-atomic for the parallel
+/// one.
 template <bool kShared, typename T = std::size_t>
 using Counter = std::conditional_t<kShared, std::atomic<T>, T>;
 
@@ -78,10 +73,11 @@ T read_counter(const std::atomic<T>& c) noexcept {
 /// A scratch object borrowed from a per-thread stack for one scope. Nested
 /// leases on one thread — an expand() whose emit recurses into the next
 /// expand(), or another search run from a search's callback — take
-/// distinct objects, and every thread (so every parallel worker) has its
-/// own stack, so no two live leases share scratch. Objects stay on the
-/// stack for reuse: once a thread has reached its deepest nesting, leases
-/// allocate nothing, and buffers inside keep their capacity.
+/// distinct objects, and every thread (so every check running at once,
+/// as under cal_check --jobs) has its own stack, so no two live leases
+/// share scratch. Objects stay on the stack for reuse: once a thread has
+/// reached its deepest nesting, leases allocate nothing, and buffers
+/// inside keep their capacity.
 template <typename T>
 class ScratchLease {
  public:

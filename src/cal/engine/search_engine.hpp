@@ -7,8 +7,8 @@
 // a *first goal wins* (accept) or a *collect every goal* (collect) result
 // discipline. What differs per checker — node layout, successor
 // generation, spec-step memoization — lives in a Policy; what is shared —
-// the DFS drivers (sequential and work-stealing parallel), the visited
-// set, the cap/exhaustion bookkeeping, and the witness stack — lives here.
+// the DFS drivers, the visited set, the cap/exhaustion bookkeeping, and
+// the witness stack — lives here.
 //
 // Policy concept
 // --------------
@@ -35,14 +35,13 @@
 //
 // Drivers
 // -------
-//   SequentialSearch: plain recursive DFS, VisitedSet, witness stack.
-//   ParallelSearch:   the shape proven out by the original parallel CAL
-//     checker — subtree tasks forked onto a work-stealing par::TaskPool at
+//   SequentialSearch: plain recursive DFS, VisitedSet, witness stack, in
+//     both modes. Every checker (batch and streaming) runs on it.
+//   ParallelSearch:   collect mode only — the explorer's threads > 1
+//     walk. Subtree tasks fork onto a work-stealing par::TaskPool at
 //     depth < kForkDepth (each task carrying a copy of its label prefix),
-//     SharedVisitedSet for cross-worker dedup, cooperative cancellation
-//     through an atomic flag once a goal is published (accept mode) or the
-//     cap trips. Collect mode serializes sink calls under a mutex and does
-//     not cancel on goals.
+//     workers share one exact-key par::ShardedStateSet, sink calls are
+//     serialized under a mutex, and every worker stops once the cap trips.
 //
 // Node-entry ordering (load-bearing for drop-in compatibility):
 //   accept mode:  cancelled? → goal? → cap? → dedup insert → expand
@@ -62,6 +61,7 @@
 #include <vector>
 
 #include "cal/engine/visited.hpp"
+#include "cal/parallel/sharded_set.hpp"
 #include "cal/parallel/task_pool.hpp"
 
 namespace cal::engine {
@@ -70,7 +70,8 @@ struct SearchOptions {
   /// Node cap: searches stop with `exhausted` once this many nodes have
   /// been deduplicated (0 = unbounded).
   std::size_t max_visited = 0;
-  /// Store exact node encodings instead of 128-bit fingerprints.
+  /// Store exact node encodings instead of 128-bit fingerprints
+  /// (SequentialSearch; ParallelSearch always stores exact keys).
   bool exact_visited = false;
   /// Deduplicate at all (the explorer's merge_states=false turns this off;
   /// the cap then counts entered nodes instead of deduped ones).
@@ -229,10 +230,12 @@ class SequentialSearch {
   std::size_t entered_ = 0;  // nodes entered; the count when dedup is off
 };
 
-/// Work-stealing parallel driver. The policy is shared by all workers, so
-/// its expand()/is_goal()/encode() must be thread-safe (the policies
-/// achieve this with sharded step memos and atomic counters — see their
-/// kShared template parameter).
+/// Work-stealing parallel driver, collect mode only: the explorer's
+/// threads > 1 walk. The policy is shared by all workers, so its
+/// expand()/is_goal()/encode() must be thread-safe (ExplorePolicy<true>
+/// keeps atomic counters and its violations behind a mutex). Dedup always
+/// stores exact keys — the explorer's state merging must be sound, not
+/// probable — so SearchOptions::exact_visited is not consulted.
 template <typename Policy>
 class ParallelSearch {
  public:
@@ -246,44 +249,27 @@ class ParallelSearch {
 
   ParallelSearch(Policy& policy, const SearchOptions& options,
                  std::size_t threads)
-      : policy_(policy),
-        options_(options),
-        threads_(threads),
-        visited_(options.exact_visited) {}
+      : policy_(policy), options_(options), threads_(threads) {}
 
-  SearchStats run() {
-    drive([this](Node&& root, std::vector<Label>&& prefix) {
-      dfs_accept(std::move(root), 0, prefix);
-    });
-    SearchStats stats = finish();
-    stats.found = found_.load(std::memory_order_acquire);
-    return stats;
-  }
-
+  /// Visits every node, feeding each goal (with the label path from its
+  /// root) to `sink(const Node&, const std::vector<Label>&)` under the
+  /// result lock.
   template <typename Sink>
   SearchStats run_collect(Sink&& sink) {
-    drive([this, &sink](Node&& root, std::vector<Label>&& prefix) {
-      dfs_collect(std::move(root), 0, prefix, sink);
-    });
-    return finish();
-  }
-
-  [[nodiscard]] std::vector<Label>&& witness() { return std::move(witness_); }
-
- private:
-  template <typename Body>
-  void drive(Body&& body) {
     par::TaskPool pool(threads_);
     pool_ = &pool;
     for (Node& root : policy_.roots()) {
-      pool.submit([this, &body, root = std::move(root)]() mutable {
-        body(std::move(root), std::vector<Label>());
+      pool.submit([this, &sink, root = std::move(root)]() mutable {
+        std::vector<Label> prefix;
+        dfs_collect(std::move(root), 0, prefix, sink);
       });
     }
     pool.wait_idle();
     pool_ = nullptr;
+    return finish();
   }
 
+ private:
   SearchStats finish() {
     SearchStats stats;
     stats.exhausted = exhausted_.load(std::memory_order_acquire);
@@ -298,8 +284,7 @@ class ParallelSearch {
   }
 
   bool cancelled() const {
-    return found_.load(std::memory_order_acquire) ||
-           exhausted_.load(std::memory_order_acquire) || policy_.cancelled();
+    return exhausted_.load(std::memory_order_acquire) || policy_.cancelled();
   }
 
   bool at_cap() {
@@ -337,36 +322,8 @@ class ParallelSearch {
     }
   }
 
-  void publish_witness(const std::vector<Label>& prefix) {
-    std::lock_guard<std::mutex> lock(result_mutex_);
-    if (found_.load(std::memory_order_relaxed)) return;
-    witness_ = prefix;
-    found_.store(true, std::memory_order_release);
-  }
-
   /// One task: searches a subtree, forking shallow children as new tasks.
   /// `prefix` is this task's private label path from the root.
-  void dfs_accept(Node&& node, std::size_t depth, std::vector<Label>& prefix) {
-    if (cancelled()) return;
-    note_depth(depth);
-    policy_.on_enter(node, depth);
-    if (policy_.is_goal(node)) {
-      publish_witness(prefix);
-      return;
-    }
-    if (at_cap()) return;
-    if (!enter(node)) return;
-    policy_.expand(node, depth, prefix,
-                   [&](Node&& next, Label&& label) -> bool {
-                     step(std::move(next), std::move(label), depth, prefix,
-                          [this](Node&& n, std::size_t d,
-                                 std::vector<Label>& p) {
-                            dfs_accept(std::move(n), d, p);
-                          });
-                     return !cancelled();
-                   });
-  }
-
   template <typename Sink>
   void dfs_collect(Node&& node, std::size_t depth, std::vector<Label>& prefix,
                    Sink& sink) {
@@ -381,51 +338,38 @@ class ParallelSearch {
       sink(node, prefix);
       return;
     }
-    policy_.expand(node, depth, prefix,
-                   [&](Node&& next, Label&& label) -> bool {
-                     step(std::move(next), std::move(label), depth, prefix,
-                          [this, &sink](Node&& n, std::size_t d,
-                                        std::vector<Label>& p) {
-                            dfs_collect(std::move(n), d, p, sink);
-                          });
-                     return !cancelled();
-                   });
-  }
-
-  /// Recurse into a successor: as a forked task (with its own prefix copy)
-  /// near the root, inline below kForkDepth.
-  template <typename Recurse>
-  void step(Node&& next, Label&& label, std::size_t depth,
-            std::vector<Label>& prefix, Recurse recurse) {
-    if (depth < kForkDepth) {
-      std::vector<Label> child_prefix = prefix;
-      child_prefix.push_back(std::move(label));
-      pool_->submit([this, recurse, next = std::move(next),
-                     child_prefix = std::move(child_prefix),
-                     depth]() mutable {
-        recurse(std::move(next), depth + 1, child_prefix);
-      });
-    } else {
-      prefix.push_back(std::move(label));
-      recurse(std::move(next), depth + 1, prefix);
-      prefix.pop_back();
-    }
+    policy_.expand(
+        node, depth, prefix, [&](Node&& next, Label&& label) -> bool {
+          if (depth < kForkDepth) {
+            // Near the root: a task with its own copy of the prefix.
+            std::vector<Label> child_prefix = prefix;
+            child_prefix.push_back(std::move(label));
+            pool_->submit([this, &sink, next = std::move(next),
+                           child_prefix = std::move(child_prefix),
+                           depth]() mutable {
+              dfs_collect(std::move(next), depth + 1, child_prefix, sink);
+            });
+          } else {
+            prefix.push_back(std::move(label));
+            dfs_collect(std::move(next), depth + 1, prefix, sink);
+            prefix.pop_back();
+          }
+          return !cancelled();
+        });
   }
 
   Policy& policy_;
   SearchOptions options_;
   std::size_t threads_;
-  SharedVisitedSet visited_;
+  par::ShardedStateSet visited_;
   par::TaskPool* pool_ = nullptr;
 
-  std::atomic<bool> found_{false};
   std::atomic<bool> exhausted_{false};
   std::atomic<std::size_t> visited_count_{0};
   std::atomic<std::size_t> entered_{0};
   std::atomic<std::size_t> dedup_hits_{0};
   std::atomic<std::size_t> max_depth_{0};
   std::mutex result_mutex_;
-  std::vector<Label> witness_;
 };
 
 }  // namespace cal::engine

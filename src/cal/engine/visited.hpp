@@ -1,17 +1,16 @@
-// Visited-set policies of the unified search engine.
+// The visited set of the sequential search driver.
 //
 // Every search in this library deduplicates flat `std::vector<int64_t>`
 // node encodings, in one of two modes: *exact* (the full encoding is
 // stored in a flat KeyTable, engine/key_table.hpp — zero false-prune risk,
 // and the mode the explorer's sound state merging requires) or
 // *fingerprint* (128-bit two-chain fingerprints, cal/fingerprint.hpp — 16
-// bytes per node at a ~2^-64 per-pair false-prune risk). These two
-// wrappers put both modes behind one insert() so the engine drivers
-// (engine/search_engine.hpp) never branch on the mode: VisitedSet is the
-// single-threaded table, SharedVisitedSet the striped-lock table the
-// parallel driver's workers share. Both report bytes() as the table's real
-// footprint: arena words allocated plus the index in exact mode, the slot
-// array in fingerprint mode.
+// bytes per node at a ~2^-64 per-pair false-prune risk). VisitedSet puts
+// both modes behind one insert(), so SequentialSearch
+// (engine/search_engine.hpp) never branches on the mode, and reports
+// bytes() as the table's real footprint: arena words allocated plus the
+// index in exact mode, the slot array in fingerprint mode. The explorer's
+// parallel walk dedups exact keys in a par::ShardedStateSet instead.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +19,6 @@
 
 #include "cal/engine/key_table.hpp"
 #include "cal/fingerprint.hpp"
-#include "cal/parallel/sharded_set.hpp"
 
 namespace cal::engine {
 
@@ -52,34 +50,6 @@ class VisitedSet {
   bool exact_;
   KeyTable exact_set_;
   FingerprintSet fp_set_;
-};
-
-/// The sharded, striped-lock counterpart shared by the parallel driver's
-/// workers: exactly one of any set of racing inserts of equal keys wins.
-class SharedVisitedSet {
- public:
-  explicit SharedVisitedSet(bool exact) : exact_(exact) {}
-
-  /// Dedups `key`; true iff it was new. Exact mode copies a new key into
-  /// the table, so each worker can reuse one scratch buffer.
-  bool insert(const NodeKey& key) {
-    if (exact_) return exact_set_.insert(key);
-    return fp_set_.insert(fingerprint_key(key));
-  }
-
-  /// Exact once concurrent inserters have quiesced.
-  [[nodiscard]] std::size_t size() const {
-    return exact_ ? exact_set_.size() : fp_set_.size();
-  }
-
-  [[nodiscard]] std::size_t bytes() const {
-    return exact_ ? exact_set_.bytes() : fp_set_.bytes();
-  }
-
- private:
-  bool exact_;
-  par::ShardedStateSet exact_set_;
-  par::ShardedFingerprintSet fp_set_;
 };
 
 }  // namespace cal::engine

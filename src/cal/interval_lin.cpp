@@ -5,16 +5,16 @@
 
 #include "cal/engine/interval_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal {
 
-namespace {
-
-template <bool kShared, typename Driver>
-IntervalCheckResult collect_result(Driver& driver,
-                                   engine::IntervalPolicy<kShared>& policy,
-                                   std::size_t n_ops) {
+IntervalCheckResult IntervalLinChecker::check(
+    const std::vector<OpRecord>& ops) const {
+  engine::SearchOptions sopts;
+  sopts.max_visited = options_.max_visited;
+  sopts.exact_visited = options_.exact_visited;
+  engine::IntervalPolicy policy(ops, spec_, options_.complete_pending);
+  engine::SequentialSearch<engine::IntervalPolicy> driver(policy, sopts);
   const engine::SearchStats stats = driver.run();
   IntervalCheckResult result;
   result.ok = stats.found;
@@ -26,7 +26,8 @@ IntervalCheckResult collect_result(Driver& driver,
   if (result.ok) {
     // The witness label path is the round sequence: label r is round r, so
     // each operation's interval is read straight off its starts/ends flags.
-    std::vector<std::pair<std::size_t, std::size_t>> intervals(n_ops, {0, 0});
+    std::vector<std::pair<std::size_t, std::size_t>> intervals(ops.size(),
+                                                               {0, 0});
     const auto witness = driver.witness();
     for (std::size_t r = 0; r < witness.size(); ++r) {
       for (const auto& part : witness[r].parts) {
@@ -37,27 +38,6 @@ IntervalCheckResult collect_result(Driver& driver,
     result.intervals = std::move(intervals);
   }
   return result;
-}
-
-}  // namespace
-
-IntervalCheckResult IntervalLinChecker::check(
-    const std::vector<OpRecord>& ops) const {
-  engine::SearchOptions sopts;
-  sopts.max_visited = options_.max_visited;
-  sopts.exact_visited = options_.exact_visited;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    engine::IntervalPolicy<true> policy(ops, spec_,
-                                        options_.complete_pending);
-    engine::ParallelSearch<engine::IntervalPolicy<true>> driver(policy, sopts,
-                                                                threads);
-    return collect_result(driver, policy, ops.size());
-  }
-  engine::IntervalPolicy<false> policy(ops, spec_, options_.complete_pending);
-  engine::SequentialSearch<engine::IntervalPolicy<false>> driver(policy,
-                                                                 sopts);
-  return collect_result(driver, policy, ops.size());
 }
 
 IntervalCheckResult IntervalLinChecker::check(const History& history) const {

@@ -58,10 +58,6 @@ class IntervalSpec {
 struct IntervalCheckOptions {
   std::size_t max_visited = 0;  ///< 0 = unlimited
   bool complete_pending = true;
-  /// Worker threads (1 = sequential, bit-for-bit the historical checker;
-  /// 0 = one per hardware thread). Parallel verdicts are identical; the
-  /// chosen intervals and the diagnostic counters may differ.
-  std::size_t threads = 1;
   /// Exact stored-key dedup instead of the default 128-bit fingerprints.
   bool exact_visited = false;
 };

@@ -5,28 +5,8 @@
 
 #include "cal/engine/lin_policy.hpp"
 #include "cal/engine/search_engine.hpp"
-#include "cal/parallel/task_pool.hpp"
 
 namespace cal {
-
-namespace {
-
-template <bool kShared, typename Driver>
-LinCheckResult collect_result(Driver& driver,
-                              engine::LinPolicy<kShared>& policy) {
-  const engine::SearchStats stats = driver.run();
-  LinCheckResult result;
-  result.ok = stats.found;
-  result.exhausted = stats.exhausted;
-  result.visited_states = stats.visited_states;
-  result.visited_bytes = stats.visited_bytes;
-  result.step_cache_hits = policy.step_cache_hits();
-  result.step_cache_misses = policy.step_cache_misses();
-  if (result.ok) result.witness = driver.witness();
-  return result;
-}
-
-}  // namespace
 
 LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
   if (options_.order_check) {
@@ -49,16 +29,18 @@ LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;
-  const std::size_t threads = par::resolve_threads(options_.threads);
-  if (threads > 1) {
-    engine::LinPolicy<true> policy(ops, spec_, options_.complete_pending);
-    engine::ParallelSearch<engine::LinPolicy<true>> driver(policy, sopts,
-                                                           threads);
-    return collect_result(driver, policy);
-  }
-  engine::LinPolicy<false> policy(ops, spec_, options_.complete_pending);
-  engine::SequentialSearch<engine::LinPolicy<false>> driver(policy, sopts);
-  return collect_result(driver, policy);
+  engine::LinPolicy policy(ops, spec_, options_.complete_pending);
+  engine::SequentialSearch<engine::LinPolicy> driver(policy, sopts);
+  const engine::SearchStats stats = driver.run();
+  LinCheckResult result;
+  result.ok = stats.found;
+  result.exhausted = stats.exhausted;
+  result.visited_states = stats.visited_states;
+  result.visited_bytes = stats.visited_bytes;
+  result.step_cache_hits = policy.step_cache_hits();
+  result.step_cache_misses = policy.step_cache_misses();
+  if (result.ok) result.witness = driver.witness();
+  return result;
 }
 
 LinCheckResult LinChecker::check(const History& history) const {

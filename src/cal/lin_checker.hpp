@@ -23,13 +23,6 @@ namespace cal {
 struct LinCheckOptions {
   std::size_t max_visited = 0;  ///< 0 = unlimited
   bool complete_pending = true;
-  /// Worker threads for the search (1 = the sequential engine, bit-for-bit
-  /// the historical behavior including the witness; 0 = one per hardware
-  /// thread). Parallel runs share the engine's striped-lock dedup table
-  /// and cancel cooperatively on the first witness: the verdict is
-  /// identical to the sequential one, but the witness may be any (valid)
-  /// witness and `visited_states` may vary slightly from run to run.
-  std::size_t threads = 1;
   /// Deduplicate visited nodes by their full encodings instead of the
   /// default 128-bit fingerprints (cal/fingerprint.hpp, ~2^-64 per-pair
   /// false-prune risk).

@@ -1,15 +1,15 @@
 // A sharded, striped-lock deduplication set for search-state keys.
 //
-// Both search engines memoize flat `std::vector<int64_t>` encodings
-// (spec-state + fired-mask for the CAL checker, World::encode for the
-// explorer) keyed by cal::hash_state. Under the parallel engines many
-// workers insert concurrently; striping the table over independently
-// locked shards keeps the visited check off the contention critical path
-// without resorting to a lock-free table (the shards also keep TSan
-// happy). Each shard is a flat engine::KeyTable (engine/key_table.hpp):
-// keys are copied into the shard's arena, so callers may pass a reused
-// scratch buffer. The shard index and the shard's slot index come from the
-// same hash value, computed once per operation.
+// The explorer's parallel walk (engine::ParallelSearch) memoizes flat
+// `std::vector<int64_t>` World::encode keys keyed by cal::hash_state, with
+// many workers inserting concurrently; striping the table over
+// independently locked shards keeps the visited check off the contention
+// critical path without resorting to a lock-free table (the shards also
+// keep TSan happy). Each shard is a flat engine::KeyTable
+// (engine/key_table.hpp): keys are copied into the shard's arena, so
+// callers may pass a reused scratch buffer. The shard index and the
+// shard's slot index come from the same hash value, computed once per
+// operation.
 #pragma once
 
 #include <cstddef>
@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "cal/engine/key_table.hpp"
-#include "cal/fingerprint.hpp"
 #include "cal/spec.hpp"
 
 namespace cal::par {
@@ -85,57 +84,6 @@ class ShardedStateSet {
   [[nodiscard]] std::size_t shard_of(std::uint64_t h) const noexcept {
     return static_cast<std::size_t>(h >> 48 ^ h >> 24) & mask_;
   }
-
-  std::unique_ptr<Shard[]> shards_;
-  std::size_t mask_ = 0;
-};
-
-/// The fingerprinted counterpart: shards of flat open-addressing
-/// Fingerprint128 tables (cal/fingerprint.hpp) behind the same striped
-/// locks. 16 bytes per visited node regardless of encoding length — the
-/// parallel CAL engine's default dedup table; ShardedStateSet remains the
-/// `exact_visited` path (and the explorer's sound merging table).
-class ShardedFingerprintSet {
- public:
-  explicit ShardedFingerprintSet(std::size_t shard_count = 64) {
-    std::size_t n = 1;
-    while (n < shard_count) n <<= 1;
-    mask_ = n - 1;
-    shards_ = std::make_unique<Shard[]>(n);
-  }
-
-  /// Inserts the fingerprint; returns true iff it was not already present.
-  bool insert(Fingerprint128 fp) {
-    // The shard comes from the hi word, probing inside a shard from the lo
-    // word (FingerprintSet), so the two partitions stay independent.
-    Shard& shard = shards_[static_cast<std::size_t>(fp.hi) & mask_];
-    std::lock_guard<std::mutex> lock(shard.mu);
-    return shard.set.insert(fp);
-  }
-
-  [[nodiscard]] std::size_t size() const {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      std::lock_guard<std::mutex> lock(shards_[i].mu);
-      total += shards_[i].set.size();
-    }
-    return total;
-  }
-
-  [[nodiscard]] std::size_t bytes() const {
-    std::size_t total = 0;
-    for (std::size_t i = 0; i <= mask_; ++i) {
-      std::lock_guard<std::mutex> lock(shards_[i].mu);
-      total += shards_[i].set.bytes();
-    }
-    return total;
-  }
-
- private:
-  struct alignas(64) Shard {
-    mutable std::mutex mu;
-    FingerprintSet set{16};
-  };
 
   std::unique_ptr<Shard[]> shards_;
   std::size_t mask_ = 0;

@@ -1,5 +1,5 @@
-// A small work-stealing task pool — the shared substrate of the parallel
-// search engines (cal/cal_checker.cpp, sched/explorer.cpp) and the
+// A small work-stealing task pool — the substrate of the explorer's
+// parallel walk (engine::ParallelSearch, sched/explorer.cpp) and the
 // cal-check --jobs batch pipeline.
 //
 // Design constraints, in order:
@@ -7,8 +7,9 @@
 //     (one per worker, so contention is striped, plus an overflow queue
 //     for external submitters); no lock-free cleverness on the control
 //     path, the searches themselves are the hot path;
-//   * recursive submission — tasks may submit subtasks (the DFS engines
-//     fork the top levels of their search trees from inside pool workers);
+//   * recursive submission — tasks may submit subtasks (the parallel
+//     walk forks the top levels of its search tree from inside pool
+//     workers);
 //     a worker pushes to its *own* deque and pops LIFO for locality, while
 //     thieves steal FIFO from the opposite end;
 //   * a quiescence barrier — wait_idle() blocks the (external) caller

@@ -20,11 +20,9 @@
 // across later inserts — callers may hold them through recursion.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -57,7 +55,7 @@ class StableStore {
   std::size_t size_ = 0;
 };
 
-/// Single-threaded memo table for the sequential engines.
+/// The per-search memo table of the checker policies.
 template <typename Outcome>
 class StepMemo {
  public:
@@ -80,63 +78,6 @@ class StepMemo {
   StableStore<std::vector<Outcome>> outcomes_;
   std::size_t hits_ = 0;
   std::size_t misses_ = 0;
-};
-
-/// Striped-lock memo table shared by the parallel engine's workers. Entries
-/// are immutable once inserted and never erased; a reader that found an
-/// entry under the shard lock may keep the reference after unlocking (the
-/// writer's insert happened-before via the same mutex). A miss computes
-/// outside the lock, so racing computes of the same key are benign: the
-/// first insert wins, later ones are dropped.
-template <typename Outcome>
-class ShardedStepMemo {
- public:
-  explicit ShardedStepMemo(std::size_t shard_count = 64) {
-    std::size_t n = 1;
-    while (n < shard_count) n <<= 1;
-    mask_ = n - 1;
-    shards_ = std::make_unique<Shard[]>(n);
-  }
-
-  template <typename Compute>
-  const std::vector<Outcome>& find_or_insert(const StepKey& key,
-                                             Compute&& compute) {
-    const std::uint64_t hash = hash_state(key);
-    Shard& shard = shards_[(hash >> 48 ^ hash >> 24) & mask_];
-    {
-      std::lock_guard<std::mutex> lock(shard.mu);
-      if (const auto id = shard.table.find(key, hash)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        return shard.outcomes[*id];
-      }
-    }
-    misses_.fetch_add(1, std::memory_order_relaxed);
-    std::vector<Outcome> computed = compute();
-    std::lock_guard<std::mutex> lock(shard.mu);
-    const auto inserted = shard.table.insert(key, hash, [&] {
-      shard.outcomes.push_back(std::move(computed));
-    });
-    return shard.outcomes[inserted.id];
-  }
-
-  [[nodiscard]] std::size_t hits() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::size_t misses() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
-
- private:
-  struct alignas(64) Shard {
-    std::mutex mu;
-    engine::KeyTable table;
-    StableStore<std::vector<Outcome>> outcomes;
-  };
-
-  std::unique_ptr<Shard[]> shards_;
-  std::size_t mask_ = 0;
-  std::atomic<std::size_t> hits_{0};
-  std::atomic<std::size_t> misses_{0};
 };
 
 }  // namespace cal

@@ -1,9 +1,6 @@
-// Engine equivalence: all three checkers now run on the unified search
-// core (src/cal/engine/), so every (threads ∈ {1, 2, 8}) × (exact vs
-// fingerprint dedup) configuration must agree — on verdicts everywhere,
-// and byte-for-byte on witnesses wherever the sequential driver runs.
-// Lin and Interval gained the `threads` option in this refactor; this
-// suite is what pins their parallel verdicts to the sequential ones.
+// Engine equivalence: all three checkers run on the unified search core
+// (src/cal/engine/), so exact and fingerprint dedup must agree — on
+// verdicts, and byte-for-byte on witnesses.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -33,8 +30,6 @@ const Symbol kQ{"Q"};
 
 Value iv(std::int64_t x) { return Value::integer(x); }
 
-constexpr std::size_t kThreadGrid[] = {1, 2, 8};
-
 // ---------------------------------------------------------------------------
 // Witness validity: a linearization must replay through the sequential
 // spec (backtracking over outcome choices — specs may be nondeterministic).
@@ -56,58 +51,49 @@ bool replay_lin(const SequentialSpec& spec,
 }
 
 // ---------------------------------------------------------------------------
-// LinChecker across the full engine grid.
+// LinChecker across both dedup modes.
 
 void expect_lin_grid_equivalent(const SequentialSpec& spec, const History& h,
                                 std::optional<bool> expect = std::nullopt) {
   std::optional<bool> verdict;
   std::optional<std::vector<Operation>> sequential_witness;
   for (bool exact : {false, true}) {
-    for (std::size_t threads : kThreadGrid) {
-      LinCheckOptions opts;
-      opts.threads = threads;
-      opts.exact_visited = exact;
-      opts.order_check = false;  // the subject is the engine grid
-      LinChecker checker(spec, opts);
-      LinCheckResult r = checker.check(h);
-      if (!verdict) {
-        verdict = r.ok;
+    LinCheckOptions opts;
+    opts.exact_visited = exact;
+    opts.order_check = false;  // the subject is the engine grid
+    LinChecker checker(spec, opts);
+    LinCheckResult r = checker.check(h);
+    if (!verdict) {
+      verdict = r.ok;
+    } else {
+      ASSERT_EQ(r.ok, *verdict) << "exact=" << exact << " diverged on\n"
+                                << h.to_string();
+    }
+    if (r.visited_states > 0) {
+      EXPECT_GT(r.visited_bytes, 0u) << "exact=" << exact;
+    }
+    if (r.ok) {
+      ASSERT_TRUE(r.witness.has_value());
+      EXPECT_TRUE(replay_lin(spec, *r.witness))
+          << "witness does not replay, exact=" << exact << "\n"
+          << h.to_string();
+      if (h.complete()) {
+        // Every operation of a complete history must appear in the
+        // linearization, with its recorded return value.
+        std::vector<Operation> expected;
+        for (const OpRecord& rec : h.operations()) expected.push_back(rec.op);
+        std::vector<Operation> got = *r.witness;
+        std::sort(expected.begin(), expected.end());
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << h.to_string();
+      }
+      // The driver is deterministic: exact and fingerprint dedup walk the
+      // same order, so the witness is byte-identical.
+      if (!sequential_witness) {
+        sequential_witness = *r.witness;
       } else {
-        ASSERT_EQ(r.ok, *verdict) << "exact=" << exact
-                                  << " threads=" << threads
-                                  << " diverged on\n"
-                                  << h.to_string();
-      }
-      if (r.visited_states > 0) {
-        EXPECT_GT(r.visited_bytes, 0u)
-            << "exact=" << exact << " threads=" << threads;
-      }
-      if (r.ok) {
-        ASSERT_TRUE(r.witness.has_value());
-        EXPECT_TRUE(replay_lin(spec, *r.witness))
-            << "witness does not replay, exact=" << exact
-            << " threads=" << threads << "\n"
-            << h.to_string();
-        if (h.complete()) {
-          // Every operation of a complete history must appear in the
-          // linearization, with its recorded return value.
-          std::vector<Operation> expected;
-          for (const OpRecord& rec : h.operations()) expected.push_back(rec.op);
-          std::vector<Operation> got = *r.witness;
-          std::sort(expected.begin(), expected.end());
-          std::sort(got.begin(), got.end());
-          EXPECT_EQ(got, expected) << h.to_string();
-        }
-        if (threads == 1) {
-          // The sequential driver is deterministic: exact and fingerprint
-          // dedup walk the same order, so the witness is byte-identical.
-          if (!sequential_witness) {
-            sequential_witness = *r.witness;
-          } else {
-            EXPECT_EQ(*r.witness, *sequential_witness)
-                << "sequential witness changed with exact=" << exact;
-          }
-        }
+        EXPECT_EQ(*r.witness, *sequential_witness)
+            << "sequential witness changed with exact=" << exact;
       }
     }
   }
@@ -188,7 +174,7 @@ TEST_P(LinEngineSeeds, PendingInvocations) {
 INSTANTIATE_TEST_SUITE_P(Seeds, LinEngineSeeds, ::testing::Range(0u, 10u));
 
 // ---------------------------------------------------------------------------
-// IntervalLinChecker across the full engine grid.
+// IntervalLinChecker across both dedup modes.
 
 void expect_interval_grid_equivalent(
     const IntervalSpec& spec, const History& h,
@@ -196,35 +182,29 @@ void expect_interval_grid_equivalent(
   const std::vector<OpRecord> recs = h.operations();
   std::optional<bool> verdict;
   for (bool exact : {false, true}) {
-    for (std::size_t threads : kThreadGrid) {
-      IntervalCheckOptions opts;
-      opts.threads = threads;
-      opts.exact_visited = exact;
-      IntervalLinChecker checker(spec, opts);
-      IntervalCheckResult r = checker.check(h);
-      if (!verdict) {
-        verdict = r.ok;
-      } else {
-        ASSERT_EQ(r.ok, *verdict) << "exact=" << exact
-                                  << " threads=" << threads
-                                  << " diverged on\n"
-                                  << h.to_string();
-      }
-      if (r.ok) {
-        ASSERT_TRUE(r.intervals.has_value());
-        ASSERT_EQ(r.intervals->size(), recs.size());
-        // Intervals must be well-formed and respect the real-time order.
-        for (std::size_t i = 0; i < recs.size(); ++i) {
-          if (recs[i].is_pending()) continue;
-          EXPECT_LE((*r.intervals)[i].first, (*r.intervals)[i].second);
-          for (std::size_t j = 0; j < recs.size(); ++j) {
-            if (recs[j].is_pending() || !History::precedes(recs[i], recs[j]))
-              continue;
-            EXPECT_LT((*r.intervals)[i].second, (*r.intervals)[j].first)
-                << "real-time order violated, exact=" << exact
-                << " threads=" << threads << "\n"
-                << h.to_string();
-          }
+    IntervalCheckOptions opts;
+    opts.exact_visited = exact;
+    IntervalLinChecker checker(spec, opts);
+    IntervalCheckResult r = checker.check(h);
+    if (!verdict) {
+      verdict = r.ok;
+    } else {
+      ASSERT_EQ(r.ok, *verdict) << "exact=" << exact << " diverged on\n"
+                                << h.to_string();
+    }
+    if (r.ok) {
+      ASSERT_TRUE(r.intervals.has_value());
+      ASSERT_EQ(r.intervals->size(), recs.size());
+      // Intervals must be well-formed and respect the real-time order.
+      for (std::size_t i = 0; i < recs.size(); ++i) {
+        if (recs[i].is_pending()) continue;
+        EXPECT_LE((*r.intervals)[i].first, (*r.intervals)[i].second);
+        for (std::size_t j = 0; j < recs.size(); ++j) {
+          if (recs[j].is_pending() || !History::precedes(recs[i], recs[j]))
+            continue;
+          EXPECT_LT((*r.intervals)[i].second, (*r.intervals)[j].first)
+              << "real-time order violated, exact=" << exact << "\n"
+              << h.to_string();
         }
       }
     }
@@ -277,7 +257,7 @@ TEST(IntervalEngineEquivalence, SyncQueueScenarios) {
 
 TEST(IntervalEngineEquivalence, TimeoutLadders) {
   // Sequences of timed-out puts/takes with varying overlap: bigger state
-  // spaces so the parallel driver actually forks.
+  // spaces.
   SyncQueueIntervalSpec spec(kQ);
   for (std::size_t width : {2u, 3u, 4u}) {
     HistoryBuilder b;
@@ -327,9 +307,8 @@ TEST(CalEngineEquivalence, SequentialWitnessIsDedupModeInvariant) {
 
 /// Engine-only options: the nested searches are the subject, and the
 /// exchanger's order path would answer without one.
-CalCheckOptions engine_opts(std::size_t threads = 1) {
+CalCheckOptions engine_opts() {
   CalCheckOptions opts;
-  opts.threads = threads;
   opts.order_check = false;
   return opts;
 }
@@ -368,17 +347,14 @@ TEST(CalEngineEquivalence, NestedCheckInsideSpecStepLeavesOuterIntact) {
   for (unsigned seed = 0; seed < 6; ++seed) {
     rng.seed(seed);
     const History h = random_exchanger_history(rng, 4, 3);
-    for (const std::size_t threads : {1u, 2u}) {
-      const CalCheckOptions opts = engine_opts(threads);
-      const CalCheckResult plain = CalChecker(spec, opts).check(h);
-      const CalCheckResult nested_run = CalChecker(nesting, opts).check(h);
-      ASSERT_EQ(plain.ok, nested_run.ok);
-      if (threads != 1) continue;
-      EXPECT_EQ(plain.witness->elements(), nested_run.witness->elements());
-      EXPECT_EQ(plain.visited_states, nested_run.visited_states);
-      EXPECT_EQ(plain.fired_elements, nested_run.fired_elements);
-      EXPECT_EQ(plain.pruned_subsets, nested_run.pruned_subsets);
-    }
+    const CalCheckOptions opts = engine_opts();
+    const CalCheckResult plain = CalChecker(spec, opts).check(h);
+    const CalCheckResult nested_run = CalChecker(nesting, opts).check(h);
+    ASSERT_EQ(plain.ok, nested_run.ok);
+    EXPECT_EQ(plain.witness->elements(), nested_run.witness->elements());
+    EXPECT_EQ(plain.visited_states, nested_run.visited_states);
+    EXPECT_EQ(plain.fired_elements, nested_run.fired_elements);
+    EXPECT_EQ(plain.pruned_subsets, nested_run.pruned_subsets);
   }
 }
 
@@ -388,8 +364,8 @@ TEST(CalEngineEquivalence, NestedCheckInsideCollectSinkLeavesOuterIntact) {
   const History nested = wide_overlap_history(4, false);
   const std::vector<OpRecord> ops = outer.operations();
   const auto collect = [&](bool nest) {
-    engine::CalPolicy<false> policy(ops, spec, /*complete_pending=*/true);
-    engine::SequentialSearch<engine::CalPolicy<false>> driver(
+    engine::CalPolicy policy(ops, spec, /*complete_pending=*/true);
+    engine::SequentialSearch<engine::CalPolicy> driver(
         policy, engine::SearchOptions{});
     std::vector<std::vector<CaElement>> goals;
     const engine::SearchStats stats = driver.run_collect(

@@ -54,41 +54,34 @@ void expect_incremental_matches_batch(const CaSpec& spec, const History& h,
   batch_opts.complete_pending = complete_pending;
   const CalCheckResult batch = CalChecker(spec, batch_opts).check(h);
   for (std::size_t window : kWindowGrid) {
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
-      IncrementalOptions opts;
-      opts.window = window;
-      opts.threads = threads;
-      opts.complete_pending = complete_pending;
-      IncrementalChecker inc(spec, opts);
-      inc.push(h);
-      inc.finish();
-      ASSERT_EQ(inc.ok(), batch.ok)
-          << "window=" << window << " threads=" << threads
-          << " reason=" << inc.status().reason << "\n"
-          << h.to_string();
-      EXPECT_TRUE(inc.status().finished);
-      if (inc.ok()) {
-        // An accepting stream consumed everything; a rejecting one stops
-        // at the violation and ignores the rest by design.
-        EXPECT_EQ(inc.status().actions_consumed, h.actions().size());
-        const std::optional<CaTrace> w = inc.witness();
-        ASSERT_TRUE(w.has_value())
-            << "window=" << window << " threads=" << threads;
-        const ReplayResult replayed = replay_ca(*w, spec);
-        EXPECT_TRUE(replayed.ok)
-            << "window=" << window << " threads=" << threads << ": "
-            << replayed.reason;
-        if (h.complete()) {
-          const AgreeResult a = agrees_with(h, *w);
-          EXPECT_TRUE(a.agrees)
-              << "window=" << window << " threads=" << threads << ": "
-              << a.reason << "\n"
-              << h.to_string() << w->to_string();
-        }
-      } else {
-        EXPECT_GT(inc.status().violation_window, 0u);
-        EXPECT_FALSE(inc.status().reason.empty());
+    IncrementalOptions opts;
+    opts.window = window;
+    opts.complete_pending = complete_pending;
+    IncrementalChecker inc(spec, opts);
+    inc.push(h);
+    inc.finish();
+    ASSERT_EQ(inc.ok(), batch.ok)
+        << "window=" << window << " reason=" << inc.status().reason << "\n"
+        << h.to_string();
+    EXPECT_TRUE(inc.status().finished);
+    if (inc.ok()) {
+      // An accepting stream consumed everything; a rejecting one stops at
+      // the violation and ignores the rest by design.
+      EXPECT_EQ(inc.status().actions_consumed, h.actions().size());
+      const std::optional<CaTrace> w = inc.witness();
+      ASSERT_TRUE(w.has_value()) << "window=" << window;
+      const ReplayResult replayed = replay_ca(*w, spec);
+      EXPECT_TRUE(replayed.ok)
+          << "window=" << window << ": " << replayed.reason;
+      if (h.complete()) {
+        const AgreeResult a = agrees_with(h, *w);
+        EXPECT_TRUE(a.agrees) << "window=" << window << ": " << a.reason
+                              << "\n"
+                              << h.to_string() << w->to_string();
       }
+    } else {
+      EXPECT_GT(inc.status().violation_window, 0u);
+      EXPECT_FALSE(inc.status().reason.empty());
     }
   }
 }

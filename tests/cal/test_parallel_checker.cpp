@@ -1,19 +1,26 @@
-// Parallel-vs-sequential equivalence for the CAL membership checker: the
-// same history corpus the property tests draw from, checked at
-// threads ∈ {1, 2, 8}, must produce identical verdicts — and every
-// parallel witness must itself satisfy the Def. 5 agreement with the
-// history. Plus a stress run on the wide-overlap workload, the subset
-// enumeration's adversarial case, under full pool contention.
+// Parallel batch checking: `cal_check --jobs` runs many independent
+// checks at once on par::TaskPool workers, each one a sequential search,
+// all of them through one shared spec. Checks that run side by side must
+// reach exactly what the same checks reach one after another — verdict,
+// witness and every counter — on the engine and on the order path alike:
+// per-check memo tables, per-thread leased scratch and the shared spec
+// must never leak between concurrent checks. Every accepting witness must
+// also agree (Def. 5) with its history. The stress cases flood the pool
+// with the wide-overlap workload, the subset enumeration's adversarial
+// case. The CI TSan job runs this suite.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <random>
 #include <vector>
 
 #include "cal/agree.hpp"
 #include "cal/cal_checker.hpp"
+#include "cal/parallel/task_pool.hpp"
 #include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
+#include "corpus.hpp"
 
 namespace cal {
 namespace {
@@ -22,162 +29,106 @@ const Symbol kE{"E"};
 const Symbol kEx{"exchange"};
 const Symbol kS{"S"};
 
-Value iv(std::int64_t x) { return Value::integer(x); }
+/// Pool workers, and how many times each history is checked at once.
+constexpr std::size_t kWorkers = 4;
+constexpr std::size_t kCopies = 8;
 
-/// Valid exchanger execution (same shape as the property-test generator):
-/// threads invoke, overlapping undecided operations pair up or fail,
-/// responses are emitted after commitment.
-History random_exchanger_history(std::mt19937& rng, std::size_t n_threads,
-                                 std::size_t ops_per_thread) {
-  struct Active {
-    ThreadId tid;
-    std::int64_t v;
-    bool decided = false;
-    Value ret;
-  };
-  History h;
-  std::vector<std::size_t> remaining(n_threads, ops_per_thread);
-  std::vector<std::optional<Active>> active(n_threads);
-  std::int64_t next_value = 1;
-  auto rnd = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
-  auto some_left = [&] {
-    for (std::size_t t = 0; t < n_threads; ++t) {
-      if (remaining[t] > 0 || active[t].has_value()) return true;
-    }
-    return false;
-  };
-  while (some_left()) {
-    switch (rnd(3)) {
-      case 0: {
-        std::vector<std::size_t> can;
-        for (std::size_t t = 0; t < n_threads; ++t) {
-          if (remaining[t] > 0 && !active[t]) can.push_back(t);
-        }
-        if (can.empty()) break;
-        const std::size_t t = can[rnd(can.size())];
-        const std::int64_t v = next_value++;
-        active[t] = Active{static_cast<ThreadId>(t + 1), v, false,
-                           Value::unit()};
-        remaining[t] -= 1;
-        h.invoke(static_cast<ThreadId>(t + 1), kE, kEx, iv(v));
-        break;
-      }
-      case 1: {
-        std::vector<std::size_t> undecided;
-        for (std::size_t t = 0; t < n_threads; ++t) {
-          if (active[t] && !active[t]->decided) undecided.push_back(t);
-        }
-        if (undecided.empty()) break;
-        if (undecided.size() >= 2 && rnd(2) == 0) {
-          const std::size_t i = undecided[rnd(undecided.size())];
-          std::size_t j = i;
-          while (j == i) j = undecided[rnd(undecided.size())];
-          active[i]->decided = true;
-          active[j]->decided = true;
-          active[i]->ret = Value::pair(true, active[j]->v);
-          active[j]->ret = Value::pair(true, active[i]->v);
-        } else {
-          const std::size_t i = undecided[rnd(undecided.size())];
-          active[i]->decided = true;
-          active[i]->ret = Value::pair(false, active[i]->v);
-        }
-        break;
-      }
-      case 2: {
-        std::vector<std::size_t> decided;
-        for (std::size_t t = 0; t < n_threads; ++t) {
-          if (active[t] && active[t]->decided) decided.push_back(t);
-        }
-        if (decided.empty()) break;
-        const std::size_t t = decided[rnd(decided.size())];
-        h.respond(active[t]->tid, kE, kEx, active[t]->ret);
-        active[t].reset();
-        break;
-      }
-    }
-  }
-  return h;
+/// Everything a check reports; none of it may depend on what else runs.
+struct Outcome {
+  bool ok = false;
+  bool exhausted = false;
+  bool order_checked = false;
+  std::optional<std::vector<CaElement>> witness;
+  std::size_t visited_states = 0;
+  std::size_t visited_bytes = 0;
+  std::size_t fired_elements = 0;
+  std::size_t step_cache_hits = 0;
+  std::size_t step_cache_misses = 0;
+  std::size_t pruned_subsets = 0;
+
+  bool operator==(const Outcome&) const = default;
+};
+
+Outcome outcome_of(const CalCheckResult& r) {
+  Outcome o;
+  o.ok = r.ok;
+  o.exhausted = r.exhausted;
+  o.order_checked = r.order_checked;
+  if (r.witness) o.witness = r.witness->elements();
+  o.visited_states = r.visited_states;
+  o.visited_bytes = r.visited_bytes;
+  o.fired_elements = r.fired_elements;
+  o.step_cache_hits = r.step_cache_hits;
+  o.step_cache_misses = r.step_cache_misses;
+  o.pruned_subsets = r.pruned_subsets;
+  return o;
 }
 
-/// Corrupts the first successful response to a value nobody offered
-/// (rejected by the spec). Returns nullopt when the run had no swap.
-std::optional<History> corrupt(const History& h) {
-  std::vector<Action> actions = h.actions();
-  for (Action& a : actions) {
-    if (a.is_respond() && a.payload.kind() == Value::Kind::kPair &&
-        a.payload.pair_ok()) {
-      a.payload = Value::pair(true, 99999);
-      return History(std::move(actions));
+/// Checks every history one after another, then kCopies times each, all
+/// at once on a pool of `workers` (0 = one per hardware thread, as
+/// `--jobs 0`) through one shared checker. Every concurrent outcome must
+/// equal the sequential one, which is returned.
+std::vector<Outcome> expect_parallel_matches_sequential(
+    const CaSpec& spec, const std::vector<History>& histories,
+    const CalCheckOptions& opts, std::size_t workers = kWorkers) {
+  const CalChecker checker(spec, opts);
+  std::vector<Outcome> want;
+  want.reserve(histories.size());
+  for (const History& h : histories) want.push_back(outcome_of(checker.check(h)));
+
+  std::vector<Outcome> got(histories.size() * kCopies);
+  {
+    par::TaskPool pool(workers);
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      pool.submit([&, i] {
+        got[i] = outcome_of(checker.check(histories[i % histories.size()]));
+      });
     }
+    pool.wait_idle();
   }
-  return std::nullopt;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    const std::size_t k = i % histories.size();
+    EXPECT_EQ(got[i], want[k])
+        << "order_check=" << opts.order_check << " copy "
+        << i / histories.size() << " diverged on\n"
+        << histories[k].to_string();
+  }
+  return want;
 }
 
-/// Fully random (usually invalid) stack history.
-History garbage_stack_history(std::mt19937& rng, std::size_t n_ops) {
-  auto rnd = [&](std::size_t n) {
-    return std::uniform_int_distribution<std::size_t>(0, n - 1)(rng);
-  };
-  HistoryBuilder b;
-  for (std::size_t i = 0; i < n_ops; ++i) {
-    const ThreadId tid = static_cast<ThreadId>(rnd(3) + 1);
-    if (rnd(2) == 0) {
-      b.op(tid, "S", "push", iv(static_cast<std::int64_t>(rnd(3) + 1)),
-           Value::boolean(true));
-    } else {
-      b.op(tid, "S", "pop", Value::unit(),
-           Value::pair(true, static_cast<std::int64_t>(rnd(3) + 1)));
-    }
-  }
-  return b.history();
-}
-
-/// All operations pairwise concurrent — the subset-enumeration blowup.
-History wide_overlap_history(std::size_t width, bool corrupt_one) {
-  HistoryBuilder b;
-  for (std::size_t t = 1; t <= width; ++t) {
-    b.call(static_cast<ThreadId>(t), "E", "exchange",
-           iv(static_cast<std::int64_t>(t)));
-  }
-  for (std::size_t t = 1; t <= width; ++t) {
-    const auto v = static_cast<std::int64_t>(t);
-    b.ret(static_cast<ThreadId>(t),
-          corrupt_one && t == width ? Value::pair(true, 424242)
-                                    : Value::pair(false, v));
-  }
-  return b.history();
-}
-
-/// Checks `h` at every thread count and asserts one common verdict; when
-/// accepting, every engine's witness must agree (Def. 5) with the history
-/// if it is complete.
-void expect_equivalent(const CaSpec& spec, const History& h,
+/// Runs `histories` through both paths (the engine, and the default that
+/// consults the spec's order path first): parallel equals sequential, the
+/// two paths agree on every verdict, and every accepting witness of a
+/// complete history agrees with it. `expect` pins the verdict.
+void expect_equivalent(const CaSpec& spec,
+                       const std::vector<History>& histories,
                        std::optional<bool> expect = std::nullopt) {
-  std::optional<bool> verdict;
-  for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
+  std::vector<Outcome> engine;
+  for (bool order_check : {false, true}) {
     CalCheckOptions opts;
-    opts.threads = threads;
-    opts.order_check = false;  // the subject is the parallel engine
-    CalChecker checker(spec, opts);
-    CalCheckResult r = checker.check(h);
-    if (!verdict) {
-      verdict = r.ok;
-    } else {
-      ASSERT_EQ(r.ok, *verdict)
-          << "threads=" << threads << " diverged on\n"
-          << h.to_string();
+    opts.order_check = order_check;
+    const std::vector<Outcome> outcomes =
+        expect_parallel_matches_sequential(spec, histories, opts);
+    for (std::size_t k = 0; k < histories.size(); ++k) {
+      const History& h = histories[k];
+      const Outcome& o = outcomes[k];
+      if (!order_check) {
+        EXPECT_FALSE(o.order_checked);
+      } else {
+        EXPECT_EQ(o.ok, engine[k].ok) << "paths disagree on\n"
+                                      << h.to_string();
+      }
+      if (expect) {
+        EXPECT_EQ(o.ok, *expect) << h.to_string();
+      }
+      if (o.ok && h.complete()) {
+        const AgreeResult a = agrees_with(h, CaTrace(*o.witness));
+        EXPECT_TRUE(a.agrees) << "order_check=" << order_check << ": "
+                              << a.reason << "\n"
+                              << h.to_string();
+      }
     }
-    if (r.ok && h.complete()) {
-      AgreeResult a = agrees_with(h, *r.witness);
-      EXPECT_TRUE(a.agrees) << "threads=" << threads << ": " << a.reason
-                            << "\n"
-                            << h.to_string() << r.witness->to_string();
-    }
-  }
-  if (expect) {
-    EXPECT_EQ(*verdict, *expect) << h.to_string();
+    if (!order_check) engine = outcomes;
   }
 }
 
@@ -189,7 +140,7 @@ TEST_P(ParallelCheckerEquivalence, ValidExchangerRuns) {
   ExchangerSpec spec(kE, kEx);
   const History h = random_exchanger_history(rng, 4, 3);
   ASSERT_TRUE(h.well_formed());
-  expect_equivalent(spec, h, true);
+  expect_equivalent(spec, {h}, true);
 }
 
 TEST_P(ParallelCheckerEquivalence, CorruptedExchangerRuns) {
@@ -197,12 +148,12 @@ TEST_P(ParallelCheckerEquivalence, CorruptedExchangerRuns) {
   ExchangerSpec spec(kE, kEx);
   const auto bad = corrupt(random_exchanger_history(rng, 4, 3));
   if (!bad) GTEST_SKIP() << "run had no successful exchange";
-  expect_equivalent(spec, *bad, false);
+  expect_equivalent(spec, {*bad}, false);
 }
 
 TEST_P(ParallelCheckerEquivalence, PendingInvocations) {
-  // Drop the tail of the responses: the checker must agree on completions
-  // (response extension vs invocation removal) at every thread count.
+  // Drop the tail of the responses: concurrent checks must agree on
+  // completions (response extension vs invocation removal) too.
   std::mt19937 rng(GetParam() + 200);
   ExchangerSpec spec(kE, kEx);
   History h = random_exchanger_history(rng, 3, 2);
@@ -214,61 +165,63 @@ TEST_P(ParallelCheckerEquivalence, PendingInvocations) {
   }
   const History pending{std::move(actions)};
   if (!pending.well_formed()) GTEST_SKIP();
-  expect_equivalent(spec, pending);
+  expect_equivalent(spec, {pending});
 }
 
 TEST_P(ParallelCheckerEquivalence, SequentialSpecOverAdapter) {
+  // Three different histories share the pool, so unlike searches run side
+  // by side on one SeqAsCaSpec.
   std::mt19937 rng(GetParam() + 300);
-  auto seq = std::make_shared<StackSpec>(kS);
-  SeqAsCaSpec spec(seq);
+  SeqAsCaSpec spec(std::make_shared<StackSpec>(kS));
+  std::vector<History> histories;
   for (int round = 0; round < 3; ++round) {
-    expect_equivalent(spec, garbage_stack_history(rng, 6));
+    histories.push_back(garbage_stack_history(rng, 6));
   }
+  expect_equivalent(spec, histories);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, ParallelCheckerEquivalence,
                          ::testing::Range(0u, 15u));
 
 TEST(ParallelCheckerStress, WideOverlapUnderContention) {
-  // Repeated full-pool checks of the adversarial workload: all operations
-  // overlap, so the top-level fan-out floods the task pool and the shared
-  // visited set sees maximal contention.
+  // Every worker runs the adversarial workload at once, accepting and
+  // rejecting copies interleaved, through one shared engine checker.
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
-  opts.order_check = false;  // the subject is the parallel engine
-  CalChecker sequential(spec, opts);
-  opts.threads = 8;
-  CalChecker parallel(spec, opts);
+  opts.order_check = false;  // the subject is the engine's search
+  std::vector<History> histories;
   for (int round = 0; round < 5; ++round) {
-    const History ok = wide_overlap_history(7, /*corrupt_one=*/false);
-    const History bad = wide_overlap_history(7, /*corrupt_one=*/true);
-    EXPECT_EQ(static_cast<bool>(sequential.check(ok)),
-              static_cast<bool>(parallel.check(ok)));
-    EXPECT_EQ(static_cast<bool>(sequential.check(bad)),
-              static_cast<bool>(parallel.check(bad)));
+    histories.push_back(wide_overlap_history(7, /*corrupt_one=*/false));
+    histories.push_back(wide_overlap_history(7, /*corrupt_one=*/true));
+  }
+  const std::vector<Outcome> want =
+      expect_parallel_matches_sequential(spec, histories, opts);
+  for (std::size_t k = 0; k < want.size(); ++k) {
+    EXPECT_EQ(want[k].ok, k % 2 == 0);
   }
 }
 
 TEST(ParallelCheckerStress, MaxVisitedCapStillTerminates) {
+  // The cap is per check: every concurrent copy trips it on its own.
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
-  opts.threads = 8;
   opts.max_visited = 16;
   opts.order_check = false;  // the cap binds the engine
-  CalChecker checker(spec, opts);
-  const History h = wide_overlap_history(8, /*corrupt_one=*/true);
-  CalCheckResult r = checker.check(h);
-  EXPECT_FALSE(r.ok);
-  EXPECT_TRUE(r.exhausted);
+  const std::vector<Outcome> want = expect_parallel_matches_sequential(
+      spec, {wide_overlap_history(8, /*corrupt_one=*/true)}, opts);
+  EXPECT_FALSE(want[0].ok);
+  EXPECT_TRUE(want[0].exhausted);
 }
 
 TEST(ParallelChecker, ZeroThreadsMeansHardwareConcurrency) {
+  // `--jobs 0`: a pool of one worker per hardware thread.
+  EXPECT_GE(par::resolve_threads(0), 1u);
   ExchangerSpec spec(kE, kEx);
   CalCheckOptions opts;
-  opts.threads = 0;
-  opts.order_check = false;  // the subject is the parallel engine
-  CalChecker checker(spec, opts);
-  EXPECT_TRUE(checker.check(wide_overlap_history(4, false)));
+  opts.order_check = false;  // the subject is the engine's search
+  const std::vector<Outcome> want = expect_parallel_matches_sequential(
+      spec, {wide_overlap_history(4, false)}, opts, /*workers=*/0);
+  EXPECT_TRUE(want[0].ok);
 }
 
 }  // namespace

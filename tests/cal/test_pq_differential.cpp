@@ -1,9 +1,8 @@
 // Differential corpus for the priority-queue order checker: generated
 // linearizable histories (plus corrupted and truncated variants) must get
-// the same verdict from the order path and from the engine, across the
-// engine's thread counts and both dedup modes, for CalChecker and for
-// LinChecker(PriorityQueueSpec). Its own binary so the CI TSan job can run
-// the threads>1 grid under the race detector.
+// the same verdict from the order path and from the engine, in both dedup
+// modes, for CalChecker and for LinChecker(PriorityQueueSpec). Its own
+// binary so the CI ASan/UBSan job can run it.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,30 +171,24 @@ TEST(PqDifferential, OrderAndEngineAgreeOnGeneratedCorpus) {
       if (!duplicates && h.complete()) {
         EXPECT_TRUE(lin.order_checked) << h.to_string();
       }
-      for (std::size_t threads : {std::size_t{1}, std::size_t{2},
-                                  std::size_t{8}}) {
-        for (bool exact : {false, true}) {
-          CalCheckOptions engine_opts;
-          engine_opts.order_check = false;
-          engine_opts.threads = threads;
-          engine_opts.exact_visited = exact;
-          EXPECT_EQ(CalChecker(spec, engine_opts).check(h).ok, want)
-              << "engine t=" << threads << " exact=" << exact << "\n"
-              << h.to_string();
+      for (bool exact : {false, true}) {
+        CalCheckOptions engine_opts;
+        engine_opts.order_check = false;
+        engine_opts.exact_visited = exact;
+        EXPECT_EQ(CalChecker(spec, engine_opts).check(h).ok, want)
+            << "engine exact=" << exact << "\n"
+            << h.to_string();
 
-          CalCheckOptions order_opts;
-          order_opts.threads = threads;
-          order_opts.exact_visited = exact;
-          CalCheckResult r = CalChecker(spec, order_opts).check(h);
-          EXPECT_EQ(r.ok, want)
-              << "order-dispatch t=" << threads << " exact=" << exact
-              << "\n" << h.to_string();
-          (r.order_checked ? order_decided : engine_fallbacks) += 1;
-          if (!duplicates && h.complete()) {
-            EXPECT_TRUE(r.order_checked)
-                << "distinct complete instance left the fragment\n"
-                << h.to_string();
-          }
+        CalCheckOptions order_opts;
+        order_opts.exact_visited = exact;
+        CalCheckResult r = CalChecker(spec, order_opts).check(h);
+        EXPECT_EQ(r.ok, want)
+            << "order-dispatch exact=" << exact << "\n" << h.to_string();
+        (r.order_checked ? order_decided : engine_fallbacks) += 1;
+        if (!duplicates && h.complete()) {
+          EXPECT_TRUE(r.order_checked)
+              << "distinct complete instance left the fragment\n"
+              << h.to_string();
         }
       }
     }
@@ -209,8 +202,8 @@ TEST(PqDifferential, OrderAndEngineAgreeOnGeneratedCorpus) {
 
 TEST(PqDifferential, FingerprintAndExactVerdictsMatchOnWideHistory) {
   // One deliberately wide instance (every insert overlaps every removal)
-  // on the engine path: the two dedup modes and all thread counts agree,
-  // and the order path decides the same instance without any search.
+  // on the engine path: the two dedup modes agree, and the order path
+  // decides the same instance without any search.
   std::mt19937 rng(7);
   PriorityQueueCaSpec spec(kP);
   const History h = random_pq_history(rng, 4, 2, /*duplicates=*/false);
@@ -221,12 +214,9 @@ TEST(PqDifferential, FingerprintAndExactVerdictsMatchOnWideHistory) {
   CalCheckResult order = CalChecker(spec).check(h);
   EXPECT_TRUE(order.order_checked);
   EXPECT_EQ(order.ok, want.ok);
-  for (std::size_t threads : {std::size_t{2}, std::size_t{8}}) {
-    CalCheckOptions o;
-    o.order_check = false;
-    o.threads = threads;
-    EXPECT_EQ(CalChecker(spec, o).check(h).ok, want.ok);
-  }
+  CalCheckOptions fingerprint;
+  fingerprint.order_check = false;
+  EXPECT_EQ(CalChecker(spec, fingerprint).check(h).ok, want.ok);
 }
 
 }  // namespace

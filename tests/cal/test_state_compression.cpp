@@ -1,11 +1,10 @@
 // State-space compression equivalence: the fingerprinted visited set
 // (default) and the exact stored-key set (CalCheckOptions::exact_visited)
 // must produce identical verdicts on the whole corpus — the checked-in
-// example histories plus the generated stress families the parallel
-// equivalence suite draws from — at threads ∈ {1, 2, 8}. Every accepting
-// witness must additionally replay against the spec (T ∈ 𝒯) and agree
-// (Def. 5) with the history. Plus unit tests for the fingerprint
-// primitives themselves.
+// example histories plus the generated stress families of tests/cal/
+// corpus.hpp. Every accepting witness must additionally replay against
+// the spec (T ∈ 𝒯) and agree (Def. 5) with the history. Plus unit tests
+// for the fingerprint primitives themselves.
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -86,43 +85,33 @@ TEST(FingerprintSet, CompressesAgainstStoredKeys) {
 }
 
 // ---------------------------------------------------------------------------
-// Equivalence harness: fingerprint vs exact × threads {1, 2, 8}.
+// Equivalence harness: fingerprint vs exact.
 
 void expect_modes_equivalent(const CaSpec& spec, const History& h,
                              std::optional<bool> expect = std::nullopt) {
   std::optional<bool> verdict;
   for (bool exact : {false, true}) {
-    for (std::size_t threads :
-         {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-      CalCheckOptions opts;
-      opts.threads = threads;
-      opts.exact_visited = exact;
-      opts.order_check = false;  // the subject is the engine's visited set
-      CalChecker checker(spec, opts);
-      CalCheckResult r = checker.check(h);
-      if (!verdict) {
-        verdict = r.ok;
-      } else {
-        ASSERT_EQ(r.ok, *verdict)
-            << "exact=" << exact << " threads=" << threads
-            << " diverged on\n"
-            << h.to_string();
-      }
-      EXPECT_GT(r.visited_bytes, 0u)
-          << "exact=" << exact << " threads=" << threads;
-      if (r.ok) {
-        // The witness must be spec-admissible, not just present.
-        ReplayResult replayed = replay_ca(*r.witness, spec);
-        EXPECT_TRUE(replayed.ok)
-            << "exact=" << exact << " threads=" << threads << ": "
-            << replayed.reason;
-        if (h.complete()) {
-          AgreeResult a = agrees_with(h, *r.witness);
-          EXPECT_TRUE(a.agrees)
-              << "exact=" << exact << " threads=" << threads << ": "
-              << a.reason << "\n"
-              << h.to_string() << r.witness->to_string();
-        }
+    CalCheckOptions opts;
+    opts.exact_visited = exact;
+    opts.order_check = false;  // the subject is the engine's visited set
+    CalChecker checker(spec, opts);
+    CalCheckResult r = checker.check(h);
+    if (!verdict) {
+      verdict = r.ok;
+    } else {
+      ASSERT_EQ(r.ok, *verdict) << "exact=" << exact << " diverged on\n"
+                                << h.to_string();
+    }
+    EXPECT_GT(r.visited_bytes, 0u) << "exact=" << exact;
+    if (r.ok) {
+      // The witness must be spec-admissible, not just present.
+      ReplayResult replayed = replay_ca(*r.witness, spec);
+      EXPECT_TRUE(replayed.ok) << "exact=" << exact << ": " << replayed.reason;
+      if (h.complete()) {
+        AgreeResult a = agrees_with(h, *r.witness);
+        EXPECT_TRUE(a.agrees) << "exact=" << exact << ": " << a.reason
+                              << "\n"
+                              << h.to_string() << r.witness->to_string();
       }
     }
   }

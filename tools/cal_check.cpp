@@ -13,15 +13,23 @@
 // exit code is the worst per-file code.
 //
 // Flags:
-//   --jobs N          check files concurrently on N pool workers (0 = #cores)
-//   --threads N       worker threads *inside* each CAL check
-//                     (CalCheckOptions::threads; 0 = #cores, default 1)
+//   --jobs N          check files concurrently on N pool workers (0 = #cores);
+//                     each check runs the sequential search
 //   --exact-visited   dedup visited search nodes by full stored keys
-//                     instead of 128-bit fingerprints (CalCheckOptions::
-//                     exact_visited): more memory, zero false-prune risk
+//                     instead of 128-bit fingerprints (Cal/LinCheckOptions::
+//                     exact_visited; IncrementalOptions::exact_visited under
+//                     --follow): more memory, zero false-prune risk
 //   --symmetry        merge search states that differ only in which of a
 //                     set of spec-interchangeable operations fired
-//                     (CalCheckOptions::symmetry); verdict unchanged
+//                     (CalCheckOptions::symmetry); verdict unchanged.
+//                     These two engine flags act only on path=engine: an
+//                     order path decides without a search and ignores
+//                     them, so pair them with --no-order-check on the
+//                     exchanger, sync-queue, stack, queue and pq specs.
+//                     A checker that never reads a flag refuses it (exit
+//                     2): --checker lin refuses --symmetry, and --checker
+//                     set-lin, which runs no engine search, refuses
+//                     --exact-visited, --symmetry and --no-order-check.
 //   --no-order-check  force the engine search even when the spec offers a
 //                     polynomial order_check decision (exchanger,
 //                     sync-queue, stack, queue, pq), for --checker cal and
@@ -84,9 +92,8 @@ struct Options {
   std::string checker = "cal";
   std::vector<std::string> files;  // empty = stdin
   bool quiet = false;
-  std::size_t jobs = 1;     // files checked concurrently (0 = #cores)
-  std::size_t threads = 1;  // CalCheckOptions::threads per check
-  bool exact_visited = false;  // CalCheckOptions::exact_visited
+  std::size_t jobs = 1;        // files checked concurrently (0 = #cores)
+  bool exact_visited = false;  // Cal/LinCheckOptions::exact_visited
   bool symmetry = false;       // CalCheckOptions::symmetry
   bool order_check = true;     // Cal/LinCheckOptions::order_check
   bool follow = false;         // streaming incremental mode
@@ -97,7 +104,7 @@ int usage(const char* argv0) {
   std::fprintf(
       stderr,
       "usage: %s --spec KIND:OBJ[:METHOD] [--checker cal|lin|set-lin]\n"
-      "          [--quiet] [--jobs N] [--threads N] [--exact-visited]\n"
+      "          [--quiet] [--jobs N] [--exact-visited]\n"
       "          [--symmetry] [--no-order-check] [--follow [--window N]]\n"
       "          [FILE...]\n"
       "spec kinds: exchanger sync-queue snapshot stack central-stack queue "
@@ -176,7 +183,6 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
 
   if (opt.checker == "cal") {
     CalCheckOptions copts;
-    copts.threads = opt.threads;
     copts.exact_visited = opt.exact_visited;
     copts.symmetry = opt.symmetry;
     copts.order_check = opt.order_check;
@@ -233,13 +239,16 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
   }
   if (opt.checker == "lin") {
     LinCheckOptions lopts;
+    lopts.exact_visited = opt.exact_visited;
     lopts.order_check = opt.order_check;
     LinChecker checker(*spec.seq, lopts);
     LinCheckResult r = checker.check(*ops);
     const std::string stats =
         r.order_checked
             ? std::string("path=order")
-            : "path=engine, " + std::to_string(r.visited_states) + " states";
+            : "path=engine, " + std::to_string(r.visited_states) +
+                  " states, " + std::to_string(r.visited_bytes) +
+                  " visited bytes";
     if (r.ok) {
       if (!opt.quiet && r.witness) {
         o.out = "ACCEPT: linearizable (" + stats +
@@ -270,7 +279,6 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
 int run_follow(const Options& opt, const SpecBundle& spec, std::istream& in) {
   engine::IncrementalOptions iopts;
   iopts.window = opt.window;
-  iopts.threads = opt.threads;
   iopts.exact_visited = opt.exact_visited;
   engine::IncrementalChecker checker(*spec.ca, iopts);
 
@@ -415,8 +423,6 @@ int main(int argc, char** argv) {
       opt.quiet = true;
     } else if (arg == "--jobs" && i + 1 < argc) {
       opt.jobs = parse_count("--jobs", argv[++i]);
-    } else if (arg == "--threads" && i + 1 < argc) {
-      opt.threads = parse_count("--threads", argv[++i]);
     } else if (arg == "--exact-visited") {
       opt.exact_visited = true;
     } else if (arg == "--symmetry") {
@@ -456,6 +462,27 @@ int main(int argc, char** argv) {
                  "use cal or set-lin)\n",
                  opt.spec.c_str());
     return 2;
+  }
+  // Refuse engine flags the chosen checker never reads instead of
+  // dropping them.
+  if (opt.checker == "lin" && opt.symmetry) {
+    std::fprintf(stderr,
+                 "--symmetry is not supported with --checker lin (the lin "
+                 "engine has no symmetry groups)\n");
+    return 2;
+  }
+  if (opt.checker == "set-lin") {
+    const char* flag = opt.exact_visited    ? "--exact-visited"
+                       : opt.symmetry       ? "--symmetry"
+                       : !opt.order_check   ? "--no-order-check"
+                                            : nullptr;
+    if (flag != nullptr) {
+      std::fprintf(stderr,
+                   "%s is not supported with --checker set-lin (it runs no "
+                   "engine search)\n",
+                   flag);
+      return 2;
+    }
   }
 
   if (opt.follow) {
