@@ -2,24 +2,35 @@
 # Runs the checked-in benchmark series and writes google-benchmark's
 # aggregate JSON (median ns/op plus per-series counters):
 #
-#   * T-MEM / T-CHECK — state-compression series (bench_checker_scaling)
+#   bench/run_benches.sh [SERIES...]
+#
+# runs the named series, or all seven when none is named. Each SERIES is
+# the name its output file carries:
+#
+#   * state_compression — T-MEM / T-CHECK (bench_checker_scaling)
 #     → BENCH_state_compression.json
-#   * T-STREAM — streaming incremental checker vs batch (bench_streaming)
-#     → BENCH_streaming.json
-#   * T-ENV — RealEnv abstraction cost vs the direct-atomic twin
-#     (bench_model_check, BM_Env_StepOverhead_*) → BENCH_env_unification.json
-#   * T-POR — partial-order + thread-symmetry reduction: the explorer
+#   * streaming — T-STREAM: streaming incremental checker vs batch
+#     (bench_streaming) → BENCH_streaming.json
+#   * env_unification — T-ENV: RealEnv abstraction cost vs the
+#     direct-atomic twin (bench_model_check, BM_Env_StepOverhead_*)
+#     → BENCH_env_unification.json
+#   * por — T-POR: partial-order + thread-symmetry reduction: the explorer
 #     {por,symmetry} grid and the checker symmetry overlap-width series
 #     (bench_model_check, BM_Explore_Reduction + BM_CalChecker_OverlapWidth
 #     _Sym/_Reject_Sym) → BENCH_por.json
-#   * T-PQ — polynomial order checker vs the enumerative engine on
+#   * pq — T-PQ: polynomial order checker vs the enumerative engine on
 #     priority-queue staircase/overlap widths and the stack/queue
 #     staircases (bench_pq) → BENCH_pq.json
-#   * T-WMM — the memory-model axis: annotated vs seq_cst-forced RealEnv
-#     on the exchanger/stack hot paths, and explorer SC-vs-TSO state
-#     counts (bench_weak_memory) → BENCH_weak_memory.json
-#   * T-RECLAIM — the reclamation axis: ebr/hp/tagged backends head-to-head
-#     on the Treiber-stack churn path (bench_reclaim) → BENCH_reclaim.json
+#   * weak_memory — T-WMM: the memory-model axis: annotated vs
+#     seq_cst-forced RealEnv on the exchanger/stack hot paths, and
+#     explorer SC-vs-TSO state counts (bench_weak_memory)
+#     → BENCH_weak_memory.json
+#   * reclaim — T-RECLAIM: the reclamation axis: ebr/hp/tagged backends
+#     head-to-head on the Treiber-stack churn path (bench_reclaim)
+#     → BENCH_reclaim.json
+#
+# e.g. `bench/run_benches.sh streaming` re-records BENCH_streaming.json
+# and leaves the six other files as they are.
 #
 # Benches are built (and, when missing, configured) in a dedicated Release
 # tree: every checked-in number must come from optimized code, and each
@@ -88,14 +99,27 @@ WMM_OUT="${WMM_OUT:-$ROOT/BENCH_weak_memory.json}"
 RECLAIM_FILTER="${RECLAIM_FILTER:-BM_Reclaim}"
 RECLAIM_OUT="${RECLAIM_OUT:-$ROOT/BENCH_reclaim.json}"
 
-BENCH_TARGETS=(bench_checker_scaling bench_streaming bench_model_check bench_pq
-  bench_weak_memory bench_reclaim)
+ALL_SERIES=(state_compression streaming env_unification por pq weak_memory
+  reclaim)
+
+# The bench binary that runs a series.
+binary_of() {
+  case "$1" in
+    state_compression) echo bench_checker_scaling ;;
+    streaming) echo bench_streaming ;;
+    env_unification | por) echo bench_model_check ;;
+    pq) echo bench_pq ;;
+    weak_memory) echo bench_weak_memory ;;
+    reclaim) echo bench_reclaim ;;
+    *) return 1 ;;
+  esac
+}
 
 ensure_built() {
   if [[ ! -f "$BUILD_DIR/CMakeCache.txt" ]]; then
     cmake -B "$BUILD_DIR" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release
   fi
-  cmake --build "$BUILD_DIR" -j --target "${BENCH_TARGETS[@]}"
+  cmake --build "$BUILD_DIR" -j "$(nproc)" --target "$@"
 }
 
 # Refuses the series unless the binary was compiled optimized: a
@@ -116,7 +140,7 @@ check_release() {
 run_series() {
   local bin="$1" filter="$2" out="$3"
   if [[ ! -x "$bin" ]]; then
-    echo "error: $bin not built (cmake -B \"$BUILD_DIR\" -S \"$ROOT\" -DCMAKE_BUILD_TYPE=Release && cmake --build \"$BUILD_DIR\" -j)" >&2
+    echo "error: $bin not built (cmake -B \"$BUILD_DIR\" -S \"$ROOT\" -DCMAKE_BUILD_TYPE=Release && cmake --build \"$BUILD_DIR\" -j \"\$(nproc)\")" >&2
     exit 1
   fi
   "$bin" \
@@ -129,11 +153,36 @@ run_series() {
   echo "wrote $out"
 }
 
-ensure_built
-run_series "$BUILD_DIR/bench/bench_checker_scaling" "$FILTER" "$OUT"
-run_series "$BUILD_DIR/bench/bench_streaming" "$STREAM_FILTER" "$STREAM_OUT"
-run_series "$BUILD_DIR/bench/bench_model_check" "$ENV_FILTER" "$ENV_OUT"
-run_series "$BUILD_DIR/bench/bench_model_check" "$POR_FILTER" "$POR_OUT"
-run_series "$BUILD_DIR/bench/bench_pq" "$PQ_FILTER" "$PQ_OUT"
-run_series "$BUILD_DIR/bench/bench_weak_memory" "$WMM_FILTER" "$WMM_OUT"
-run_series "$BUILD_DIR/bench/bench_reclaim" "$RECLAIM_FILTER" "$RECLAIM_OUT"
+run_named() {
+  local bin="$BUILD_DIR/bench/$(binary_of "$1")"
+  case "$1" in
+    state_compression) run_series "$bin" "$FILTER" "$OUT" ;;
+    streaming) run_series "$bin" "$STREAM_FILTER" "$STREAM_OUT" ;;
+    env_unification) run_series "$bin" "$ENV_FILTER" "$ENV_OUT" ;;
+    por) run_series "$bin" "$POR_FILTER" "$POR_OUT" ;;
+    pq) run_series "$bin" "$PQ_FILTER" "$PQ_OUT" ;;
+    weak_memory) run_series "$bin" "$WMM_FILTER" "$WMM_OUT" ;;
+    reclaim) run_series "$bin" "$RECLAIM_FILTER" "$RECLAIM_OUT" ;;
+  esac
+}
+
+if [[ $# -eq 0 ]]; then
+  SERIES=("${ALL_SERIES[@]}")
+else
+  SERIES=("$@")
+fi
+TARGETS=()
+for name in "${SERIES[@]}"; do
+  if ! target="$(binary_of "$name")"; then
+    echo "error: unknown series '$name' (one of: ${ALL_SERIES[*]})" >&2
+    exit 2
+  fi
+  if [[ " ${TARGETS[*]} " != *" $target "* ]]; then
+    TARGETS+=("$target")
+  fi
+done
+
+ensure_built "${TARGETS[@]}"
+for name in "${SERIES[@]}"; do
+  run_named "$name"
+done

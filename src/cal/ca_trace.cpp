@@ -77,7 +77,10 @@ CaTrace CaTrace::project_object(Symbol o) const {
 }
 
 std::vector<Operation> CaTrace::all_ops() const {
+  std::size_t n = 0;
+  for (const CaElement& e : elements_) n += e.size();
   std::vector<Operation> out;
+  out.reserve(n);
   for (const CaElement& e : elements_) {
     out.insert(out.end(), e.ops().begin(), e.ops().end());
   }

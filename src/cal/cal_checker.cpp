@@ -17,9 +17,9 @@ std::vector<CaStepResult> SeqAsCaSpec::step(
   for (SeqStepResult& sr :
        seq_->step(state, op.tid, object, op.method, op.arg, op.ret)) {
     Operation completed = op;
-    completed.ret = sr.ret;
-    out.push_back(CaStepResult{std::move(sr.next),
-                               CaElement::singleton(object, completed)});
+    completed.ret = std::move(sr.ret);
+    out.push_back(CaStepResult{
+        std::move(sr.next), CaElement::singleton(object, std::move(completed))});
   }
   return out;
 }
@@ -57,8 +57,11 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
   engine::SearchOptions sopts;
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;
-  engine::CalPolicy policy(ops, spec_, options_.complete_pending,
-                           options_.symmetry);
+  engine::CalPolicy policy(
+      ops, spec_,
+      options_.complete_pending ? engine::Pending::kComplete
+                                : engine::Pending::kDrop,
+      engine::CalPolicy::batch_roots(spec_, ops), options_.symmetry);
   engine::SequentialSearch<engine::CalPolicy> driver(policy, sopts);
   const engine::SearchStats stats = driver.run();
   CalCheckResult result;

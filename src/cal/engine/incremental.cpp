@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <span>
 #include <utility>
 
 #include "cal/engine/cal_policy.hpp"
@@ -19,131 +18,6 @@ std::size_t local_index(const std::vector<std::size_t>& ids, std::size_t gid) {
   return static_cast<std::size_t>(
       std::lower_bound(ids.begin(), ids.end(), gid) - ids.begin());
 }
-
-/// One window of the streaming search: the CAL policy over the *active*
-/// operations only (local indices), enumerating successors with the same
-/// CalExpansion, with two extensions — multiple roots (one per frontier
-/// entry, remembered in Node::root for witness stitching) and
-/// pending-return tracking (Node::pending_rets records the value the spec
-/// chose for each fired-while-pending operation, and participates in the
-/// node encoding so explanations differing only in a guess stay
-/// distinct). Goals — nodes with every completed active operation fired —
-/// are collect-mode sinks: their pending-only continuations stay reachable
-/// from them in the next window, so not expanding them loses nothing.
-class StreamPolicy {
- public:
-  struct Node {
-    SpecState state;
-    StateMask fired;
-    std::size_t fired_completed;
-    /// (local index, committed return) for fired pending ops, ascending.
-    std::vector<std::pair<std::uint32_t, Value>> pending_rets;
-    /// Index of the frontier entry this search state grew from (not part
-    /// of the node identity — any root reaching a state explains it).
-    std::uint32_t root;
-  };
-  using Label = CaElement;
-
-  /// `ops[l]` is the active operation with global id `ids[l]`.
-  StreamPolicy(const std::vector<OpRecord>& ops,
-               const std::vector<std::size_t>& ids, const CaSpec& spec,
-               const std::vector<FrontierEntry>& frontier)
-      : ops_(ops),
-        ids_(ids),
-        frontier_(frontier),
-        expansion_(ops, spec, /*pending_candidates=*/true) {}
-
-  std::vector<Node> roots() const {
-    const std::size_t words = (ops_.size() + 63) / 64;
-    std::vector<Node> out;
-    out.reserve(frontier_.size());
-    for (std::uint32_t e = 0; e < frontier_.size(); ++e) {
-      const FrontierEntry& fe = frontier_[e];
-      Node n{fe.state, StateMask(words, 0), 0, {}, e};
-      for (std::size_t gid : fe.fired) {
-        const std::size_t l = local_index(ids_, gid);
-        mask_set(n.fired, l);
-        if (!ops_[l].is_pending()) ++n.fired_completed;
-      }
-      n.pending_rets.reserve(fe.pending_rets.size());
-      for (const auto& [gid, v] : fe.pending_rets) {
-        n.pending_rets.emplace_back(
-            static_cast<std::uint32_t>(local_index(ids_, gid)), v);
-      }
-      // fe lists are ascending by global id and local order preserves
-      // global order, so n.pending_rets is already sorted.
-      out.push_back(std::move(n));
-    }
-    return out;
-  }
-
-  bool is_goal(const Node& n) const {
-    return n.fired_completed == expansion_.index().completed();
-  }
-
-  void encode(const Node& n, NodeKey& out) const {
-    encode_state_and_masks(n.state, {&n.fired}, out);
-    out.push_back(static_cast<std::int64_t>(n.pending_rets.size()));
-    for (const auto& [l, v] : n.pending_rets) {
-      out.push_back(static_cast<std::int64_t>(l));
-      out.push_back(static_cast<std::int64_t>(v.hash()));
-    }
-  }
-
-  void on_enter(const Node&, std::size_t) {}
-  bool cancelled() const { return false; }
-
-  /// Pending operations are always candidates mid-stream, even with
-  /// complete_pending off: an operation pending *now* may complete later,
-  /// and the batch verdict (complete_pending=false) only excludes ops that
-  /// never complete. finish() discards explanations that fired one.
-  template <typename Emit>
-  void expand(const Node& node, std::size_t /*depth*/,
-              const std::vector<Label>& /*prefix*/, Emit&& emit) {
-    expansion_.each_element(
-        node.state, node.fired,
-        [&](std::span<const std::size_t> chosen, std::size_t newly_completed,
-            const std::vector<CaStepResult>& outcomes) {
-          for (const CaStepResult& sr : outcomes) {
-            Node next{sr.next, node.fired,
-                      node.fired_completed + newly_completed,
-                      node.pending_rets, node.root};
-            for (std::size_t i : chosen) mask_set(next.fired, i);
-            commit_pending_returns(chosen, sr.element, next.pending_rets);
-            if (!emit(std::move(next), CaElement(sr.element))) return false;
-          }
-          return true;
-        });
-  }
-
- private:
-  /// Commits to the return values the spec chose for the element's
-  /// pending participants (matched by thread: co-fired operations overlap
-  /// in real time, so their threads are distinct).
-  void commit_pending_returns(
-      std::span<const std::size_t> chosen, const CaElement& element,
-      std::vector<std::pair<std::uint32_t, Value>>& pending_rets) const {
-    for (std::size_t i : chosen) {
-      if (!ops_[i].is_pending()) continue;
-      for (const Operation& op : element.ops()) {
-        if (op.tid != ops_[i].op.tid || !op.ret.has_value()) continue;
-        const auto entry = std::make_pair(static_cast<std::uint32_t>(i), *op.ret);
-        pending_rets.insert(
-            std::upper_bound(pending_rets.begin(), pending_rets.end(), entry,
-                             [](const auto& a, const auto& b) {
-                               return a.first < b.first;
-                             }),
-            entry);
-        break;
-      }
-    }
-  }
-
-  const std::vector<OpRecord>& ops_;
-  const std::vector<std::size_t>& ids_;
-  const std::vector<FrontierEntry>& frontier_;
-  CalExpansion expansion_;
-};
 
 }  // namespace
 
@@ -333,8 +207,29 @@ void IncrementalChecker::check_window() {
   sopts.max_visited = options_.max_visited;
   sopts.exact_visited = options_.exact_visited;
 
+  // The frontier, in local indices, is the window search's roots.
+  std::vector<CalPolicy::Node> roots;
+  roots.reserve(frontier_.size());
+  const std::size_t words = (active_ids_.size() + 63) / 64;
+  for (std::uint32_t e = 0; e < frontier_.size(); ++e) {
+    const FrontierEntry& fe = frontier_[e];
+    CalPolicy::Node n{fe.state, StateMask(words, 0), 0, 0, {}, e};
+    for (std::size_t gid : fe.fired) {
+      const std::size_t l = local_index(active_ids_, gid);
+      mask_set(n.fired, l);
+      if (!active_ops_[l].is_pending()) ++n.fired_completed;
+    }
+    // Local order preserves global order, so this stays ascending.
+    n.pending_rets.reserve(fe.pending_rets.size());
+    for (const auto& [gid, v] : fe.pending_rets) {
+      n.pending_rets.emplace_back(
+          static_cast<std::uint32_t>(local_index(active_ids_, gid)), v);
+    }
+    roots.push_back(std::move(n));
+  }
+
   std::vector<FrontierEntry> next;
-  const auto sink = [&](const StreamPolicy::Node& node,
+  const auto sink = [&](const CalPolicy::Node& node,
                         const std::vector<CaElement>& prefix) {
     FrontierEntry entry;
     entry.state = node.state;
@@ -356,8 +251,11 @@ void IncrementalChecker::check_window() {
     next.push_back(std::move(entry));
   };
 
-  StreamPolicy policy(active_ops_, active_ids_, spec_, frontier_);
-  SequentialSearch<StreamPolicy> driver(policy, sopts);
+  // Operations pending now may still respond (Pending::kOpen), even with
+  // complete_pending off: that restriction only excludes operations that
+  // never complete, and finish() applies it.
+  CalPolicy policy(active_ops_, spec_, Pending::kOpen, std::move(roots));
+  SequentialSearch<CalPolicy> driver(policy, sopts);
   const SearchStats stats = driver.run_collect(sink);
   status_.visited_states += stats.visited_states;
 

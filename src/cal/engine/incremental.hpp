@@ -13,21 +13,22 @@
 // completed by window w precedes — in real time — every operation invoked
 // later, so any witness for any extension must fire all of them before
 // anything newer: every witness threads through a frontier state. Window
-// w+1 then runs one engine collect-mode search (engine/search_engine.hpp)
-// with the frontier as its roots and the newly visible operations as its
-// alphabet, collecting the new frontier from its goal states. An empty
-// frontier is a violation, and the final verdict after finish() equals the
-// batch verdict on the full history (engine-equivalence tests pin this on
-// the whole corpus).
+// w+1 then runs the batch checker's own search, engine::CalPolicy
+// (engine/cal_policy.hpp), in collect mode: the frontier is its roots, the
+// active operations its alphabet, and its goal states the new frontier.
+// A batch check is the one-window case: one root at the spec's initial
+// state, every operation active. An empty frontier is a violation, and
+// the final verdict after finish() equals the batch verdict on the full
+// history (engine-equivalence tests pin this on the whole corpus).
 //
 // Two mechanisms keep this sound and scalable:
 //
 //  * pending returns — firing a still-pending invocation commits to the
-//    return value the spec chose. Each frontier entry records these
-//    choices; when the real response arrives, entries that guessed a
-//    different value are dropped (and the guess participates in the
-//    window-search node encoding, so explanations differing only in a
-//    guess are not merged);
+//    return value the spec chose (Pending::kOpen). Each frontier entry
+//    records these choices; when the real response arrives, entries that
+//    guessed a different value are dropped. The guess is part of the
+//    window-search node key as the value's exact key (Value::encode), so
+//    explanations differing only in a guess are never merged;
 //  * retirement — an operation that has completed and is fired in *every*
 //    frontier entry can never be unfired: it leaves the active set, so
 //    window searches and node encodings scale with the (small) set of
@@ -130,23 +131,6 @@ class WitnessSegment {
   std::vector<CaElement> elements_;
 };
 
-/// One surviving explanation: a spec state reachable by firing exactly the
-/// listed active operations (every retired one, and for the pending ones
-/// among them the return values committed to). Implementation detail of
-/// IncrementalChecker, public only for the window-search policy.
-struct FrontierEntry {
-  SpecState state;
-  /// Global ids of fired, non-retired operations, ascending.
-  std::vector<std::size_t> fired;
-  /// Return values committed to for fired-while-pending operations,
-  /// ascending by global id (a subset of `fired`).
-  std::vector<std::pair<std::size_t, Value>> pending_rets;
-  /// Last segment of the CA-elements fired since the start of the stream
-  /// (when track_witness; null while nothing has fired). Entries that grew
-  /// from the same explanation share every earlier segment.
-  std::shared_ptr<const WitnessSegment> witness;
-};
-
 class IncrementalChecker {
  public:
   explicit IncrementalChecker(const CaSpec& spec,
@@ -174,6 +158,22 @@ class IncrementalChecker {
   [[nodiscard]] std::optional<CaTrace> witness() const;
 
  private:
+  /// One surviving explanation: a spec state reachable by firing exactly the
+  /// listed active operations (every retired one, and for the pending ones
+  /// among them the return values committed to).
+  struct FrontierEntry {
+    SpecState state;
+    /// Global ids of fired, non-retired operations, ascending.
+    std::vector<std::size_t> fired;
+    /// Return values committed to for fired-while-pending operations,
+    /// ascending by global id (a subset of `fired`).
+    std::vector<std::pair<std::size_t, Value>> pending_rets;
+    /// Last segment of the CA-elements fired since the start of the stream
+    /// (when track_witness; null while nothing has fired). Entries that grew
+    /// from the same explanation share every earlier segment.
+    std::shared_ptr<const WitnessSegment> witness;
+  };
+
   void fail(std::string reason);
   /// fail() for a stream no explanation survives: empties the frontier.
   void violation(std::string reason);

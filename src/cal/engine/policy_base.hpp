@@ -1,6 +1,7 @@
-// Shared plumbing of the search policies (engine/{cal,lin,interval}_policy,
-// the streaming window policy in engine/incremental.cpp, and the
-// explorer's ExplorePolicy in sched/explorer.cpp).
+// Shared plumbing of the search policies: engine/cal_policy (batch CAL,
+// every streaming window, and lin over SeqAsCaSpec),
+// engine/interval_policy, and the explorer's ExplorePolicy in
+// sched/explorer.cpp.
 //
 // The checker policies run only on the sequential driver: plain counters
 // and a per-search StepMemo. The explorer's policy is a template over

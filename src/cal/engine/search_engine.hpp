@@ -1,14 +1,17 @@
 // The unified search core behind every checker in this library.
 //
-// CalChecker (Def. 5/6 membership), LinChecker (Wing–Gong), the interval
-// checker, and sched::Explorer's state-space walk are all the same
-// algorithm: a depth-first search over policy-defined nodes with
-// deduplication on a flat int64 encoding, an optional node cap, and either
-// a *first goal wins* (accept) or a *collect every goal* (collect) result
-// discipline. What differs per checker — node layout, successor
-// generation, spec-step memoization — lives in a Policy; what is shared —
-// the DFS drivers, the visited set, the cap/exhaustion bookkeeping, and
-// the witness stack — lives here.
+// CalChecker (Def. 5/6 membership), LinChecker (Wing–Gong), the streaming
+// IncrementalChecker, the interval checker, and sched::Explorer's
+// state-space walk are all the same algorithm: a depth-first search over
+// policy-defined nodes with deduplication on a flat int64 encoding, an
+// optional node cap, and either a *first goal wins* (accept) or a
+// *collect every goal* (collect) result discipline. What differs per
+// search — node layout, successor generation, spec-step memoization —
+// lives in a Policy; what is shared — the DFS drivers, the visited set,
+// the cap/exhaustion bookkeeping, and the witness stack — lives here.
+// There are three policies: CalPolicy (the batch CAL check, each window of
+// a stream in collect mode, and linearizability as CAL over SeqAsCaSpec),
+// IntervalPolicy and the explorer's ExplorePolicy.
 //
 // Policy concept
 // --------------

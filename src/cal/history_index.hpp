@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <numeric>
 #include <span>
 #include <vector>
 
@@ -68,6 +69,12 @@ class HistoryIndex {
       }
       pred_count_[i] = k;
     }
+    // Running minimum of pred_count_, from the back.
+    suffix_min_ = pred_count_;
+    std::partial_sum(suffix_min_.rbegin(), suffix_min_.rend(),
+                     suffix_min_.rbegin(), [](std::size_t a, std::size_t b) {
+                       return std::min(a, b);
+                     });
   }
 
   /// The completed operations in response order; every predecessor list
@@ -82,9 +89,11 @@ class HistoryIndex {
   }
 
   /// The longest prefix of the response-sorted order whose operations have
-  /// all fired in `mask`.
-  [[nodiscard]] std::size_t fired_prefix(const StateMask& mask) const {
-    std::size_t k = 0;
+  /// all fired in `mask`. `from` is a prefix already known to have fired
+  /// (a search node's parent's), where the walk starts.
+  [[nodiscard]] std::size_t fired_prefix(const StateMask& mask,
+                                         std::size_t from = 0) const {
+    std::size_t k = from;
     while (k < by_res_.size() && mask_test(mask, by_res_[k])) ++k;
     return k;
   }
@@ -96,11 +105,25 @@ class HistoryIndex {
     return !mask_test(mask, i) && pred_count_[i] <= prefix;
   }
 
+  /// Every operation at or past this index has more than `prefix`
+  /// predecessors, so none of them is enabled when
+  /// `prefix == fired_prefix(mask)`. On operations listed in invocation
+  /// order, as histories list them, an enabled-set scan that stops here
+  /// skips every operation invoked after the first unfired response.
+  [[nodiscard]] std::size_t scan_end(std::size_t prefix) const {
+    return static_cast<std::size_t>(
+        std::upper_bound(suffix_min_.begin(), suffix_min_.end(), prefix) -
+        suffix_min_.begin());
+  }
+
   [[nodiscard]] std::size_t completed() const noexcept { return completed_; }
 
  private:
   std::vector<std::size_t> by_res_;    ///< completed ops, by response index
   std::vector<std::size_t> pred_count_;
+  /// suffix_min_[i]: the fewest predecessors of any operation j >= i
+  /// (non-decreasing in i).
+  std::vector<std::size_t> suffix_min_;
   std::size_t completed_ = 0;
 };
 

@@ -1,10 +1,10 @@
 #include "cal/lin_checker.hpp"
 
+#include <memory>
 #include <utility>
 #include <vector>
 
-#include "cal/engine/lin_policy.hpp"
-#include "cal/engine/search_engine.hpp"
+#include "cal/cal_checker.hpp"
 
 namespace cal {
 
@@ -26,20 +26,26 @@ LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
       return result;
     }
   }
-  engine::SearchOptions sopts;
-  sopts.max_visited = options_.max_visited;
-  sopts.exact_visited = options_.exact_visited;
-  engine::LinPolicy policy(ops, spec_, options_.complete_pending);
-  engine::SequentialSearch<engine::LinPolicy> driver(policy, sopts);
-  const engine::SearchStats stats = driver.run();
+  // Linearizability w.r.t. S is CAL w.r.t. SeqAsCaSpec(S) (§3), so the
+  // engine path is the CAL search over a non-owning view of the spec (the
+  // aliasing constructor with an empty owner), its witness flattened from
+  // singleton elements into a linearization.
+  const SeqAsCaSpec adapter(
+      std::shared_ptr<const SequentialSpec>(std::shared_ptr<void>(), &spec_));
+  CalCheckOptions copts;
+  copts.max_visited = options_.max_visited;
+  copts.complete_pending = options_.complete_pending;
+  copts.exact_visited = options_.exact_visited;
+  copts.order_check = false;
+  const CalCheckResult cal = CalChecker(adapter, copts).check(ops);
   LinCheckResult result;
-  result.ok = stats.found;
-  result.exhausted = stats.exhausted;
-  result.visited_states = stats.visited_states;
-  result.visited_bytes = stats.visited_bytes;
-  result.step_cache_hits = policy.step_cache_hits();
-  result.step_cache_misses = policy.step_cache_misses();
-  if (result.ok) result.witness = driver.witness();
+  result.ok = cal.ok;
+  result.exhausted = cal.exhausted;
+  result.visited_states = cal.visited_states;
+  result.visited_bytes = cal.visited_bytes;
+  result.step_cache_hits = cal.step_cache_hits;
+  result.step_cache_misses = cal.step_cache_misses;
+  if (cal.witness) result.witness = cal.witness->all_ops();
   return result;
 }
 

@@ -4,10 +4,12 @@
 // This is the notion CAL generalizes (§3 of the paper): a history is
 // linearizable w.r.t. a sequential spec iff some completion can be explained
 // by a *sequential* history — equivalently, iff it is CAL w.r.t. the
-// degenerate CA-spec whose elements are all singletons. The dedicated
-// implementation here avoids the subset machinery of the CAL checker and
-// serves as the baseline in the checker benchmarks; tests cross-validate it
-// against CalChecker + SeqAsCaSpec on random histories.
+// degenerate CA-spec whose elements are all singletons, SeqAsCaSpec(S).
+// The checker is built on that equivalence. SequentialSpec::order_check
+// decides stacks, queues and priority queues without search; otherwise
+// the CAL search (engine/cal_policy.hpp) runs over a SeqAsCaSpec view of
+// the spec, and the witness trace's singleton elements, in order, are the
+// linearization.
 #pragma once
 
 #include <cstddef>

@@ -128,6 +128,31 @@ class Value {
     return h;
   }
 
+  /// Appends the value's exact key to `out`: the kind, then the fields —
+  /// for a vector its length, then the items. Distinct values get
+  /// distinct keys, and a key delimits itself, so a sequence of keys
+  /// identifies a sequence of values. hash() does neither: (false,0) and
+  /// (true,63) hash alike. Dedup keys that stand for values use this.
+  void encode(std::vector<std::int64_t>& out) const {
+    out.push_back(static_cast<std::int64_t>(kind_));
+    switch (kind_) {
+      case Kind::kUnit:
+        break;
+      case Kind::kBool:
+      case Kind::kInt:
+        out.push_back(int_);
+        break;
+      case Kind::kPair:
+        out.push_back(bool_of_pair_ ? 1 : 0);
+        out.push_back(int_);
+        break;
+      case Kind::kVec:
+        out.push_back(static_cast<std::int64_t>(vec_.size()));
+        out.insert(out.end(), vec_.begin(), vec_.end());
+        break;
+    }
+  }
+
   /// Human-readable rendering, e.g. "(true,7)", "42", "()", "inf".
   [[nodiscard]] std::string to_string() const;
 

@@ -19,16 +19,18 @@ namespace cal::sched {
 
 namespace {
 
-/// Serializes a history for terminal deduplication.
+/// Serializes a history for terminal deduplication. Payloads take their
+/// exact keys: two histories differing only in hash-colliding values must
+/// both be collected.
 std::vector<std::int64_t> encode_history(const History& h) {
   std::vector<std::int64_t> out;
-  out.reserve(h.size() * 5);
+  out.reserve(h.size() * 7);
   for (const Action& a : h.actions()) {
     out.push_back(a.is_invoke() ? 1 : 2);
     out.push_back(a.tid);
     out.push_back(a.object.id());
     out.push_back(a.method.id());
-    out.push_back(static_cast<std::int64_t>(a.payload.hash()));
+    a.payload.encode(out);
   }
   return out;
 }

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <unordered_set>
+#include <utility>
+#include <vector>
 
 #include "cal/ca_trace.hpp"
 #include "cal/history.hpp"
@@ -80,6 +82,45 @@ TEST(ValueTest, HashDistinguishesCommonValues) {
   EXPECT_NE(iv(1).hash(), iv(2).hash());
   EXPECT_NE(Value::pair(true, 1).hash(), Value::pair(false, 1).hash());
   EXPECT_EQ(iv(7).hash(), iv(7).hash());
+}
+
+std::vector<std::int64_t> key_of(const std::vector<Value>& values) {
+  std::vector<std::int64_t> out;
+  for (const Value& v : values) v.encode(out);
+  return out;
+}
+
+TEST(ValueTest, KeySeparatesValuesThatHashAlike) {
+  // hash() is not injective: (false,0) and (true,63) share a hash, and so
+  // do (false,7) and (true,72). A streaming check that keyed committed
+  // pending returns by hash merged two explanations differing only in
+  // which dequeue took 63 (examples/histories/queue_pending_63.history).
+  const std::pair<Value, Value> pairs[] = {
+      {Value::pair(false, 0), Value::pair(true, 63)},
+      {Value::pair(false, 7), Value::pair(true, 72)}};
+  for (const auto& [a, b] : pairs) {
+    EXPECT_NE(key_of({a}), key_of({b})) << a.to_string();
+    // Swapping the two values between positions changes the key too.
+    EXPECT_NE(key_of({a, b}), key_of({b, a})) << a.to_string();
+    EXPECT_EQ(key_of({a, b}), key_of({a, b}));
+  }
+}
+
+TEST(ValueTest, KeyIsExactAcrossKindsAndDelimitsVectors) {
+  const std::vector<Value> values = {
+      Value::unit(),        Value::boolean(false), Value::boolean(true),
+      iv(0),                iv(1),                 iv(kInfinity),
+      Value::pair(false, 1), Value::pair(true, 1), Value::vec({}),
+      Value::vec({0}),      Value::vec({0, 0}),    Value::vec({1, 2})};
+  for (const Value& a : values) {
+    for (const Value& b : values) {
+      EXPECT_EQ(key_of({a}) == key_of({b}), a == b)
+          << a.to_string() << " vs " << b.to_string();
+    }
+  }
+  // A vector's length ends its key: [1],[] and [],[1] differ.
+  EXPECT_NE(key_of({Value::vec({1}), Value::vec({})}),
+            key_of({Value::vec({}), Value::vec({1})}));
 }
 
 TEST(ActionTest, ToStringFormats) {

@@ -7,6 +7,7 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -19,6 +20,7 @@
 #include "cal/specs/stack_spec.hpp"
 #include "cal/specs/sync_queue_spec.hpp"
 #include "corpus.hpp"
+#include "policy_pins.hpp"
 
 namespace cal {
 namespace {
@@ -143,8 +145,11 @@ TEST_P(LinEngineSeeds, GarbageStackRuns) {
 }
 
 TEST_P(LinEngineSeeds, AgreesWithCalOverAdapter) {
-  // Lin(S) and CAL(SeqAsCa(S)) decide the same membership problem; the
-  // two policies must agree through the shared engine.
+  // Lin(S) and CAL(SeqAsCa(S)) decide the same membership problem, and
+  // LinChecker's engine path runs exactly that CAL search, so this checks
+  // its front end (options, witness flattening); LinEnginePins pins the
+  // search itself to values recorded from the dedicated lin policy it
+  // replaced.
   std::mt19937 rng(GetParam() + 200);
   auto stack = std::make_shared<StackSpec>(kS);
   SeqAsCaSpec adapter(stack);
@@ -172,6 +177,19 @@ TEST_P(LinEngineSeeds, PendingInvocations) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, LinEngineSeeds, ::testing::Range(0u, 10u));
+
+TEST(LinEnginePins, RecordedCountersAndWitnesses) {
+  // Verdict, visited states, step-memo hits and misses, and witness of
+  // every lin-corpus history in both dedup modes, as the dedicated lin
+  // policy produced them before LinChecker moved onto CalPolicy.
+  const std::vector<std::string> expected = pins::expected_lines(
+      std::string(CAL_TEST_DATA_DIR) + "/policy_pins.txt", "lin ");
+  const std::vector<std::string> got = pins::lin_pin_lines();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]);
+  }
+}
 
 // ---------------------------------------------------------------------------
 // IntervalLinChecker across both dedup modes.
@@ -364,7 +382,8 @@ TEST(CalEngineEquivalence, NestedCheckInsideCollectSinkLeavesOuterIntact) {
   const History nested = wide_overlap_history(4, false);
   const std::vector<OpRecord> ops = outer.operations();
   const auto collect = [&](bool nest) {
-    engine::CalPolicy policy(ops, spec, /*complete_pending=*/true);
+    engine::CalPolicy policy(ops, spec, engine::Pending::kComplete,
+                             engine::CalPolicy::batch_roots(spec, ops));
     engine::SequentialSearch<engine::CalPolicy> driver(
         policy, engine::SearchOptions{});
     std::vector<std::vector<CaElement>> goals;

@@ -16,7 +16,9 @@
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "cal/agree.hpp"
@@ -24,8 +26,10 @@
 #include "cal/engine/incremental.hpp"
 #include "cal/replay.hpp"
 #include "cal/specs/exchanger_spec.hpp"
+#include "cal/specs/queue_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
 #include "corpus.hpp"
+#include "policy_pins.hpp"
 #include "objects/exchanger.hpp"
 #include "runtime/reclaim/ebr.hpp"
 #include "runtime/recorder.hpp"
@@ -143,6 +147,65 @@ TEST(IncrementalCorpus, WideOverlapBothVerdicts) {
   ExchangerSpec spec(kE, kEx);
   expect_incremental_matches_batch(spec, wide_overlap_history(6, false));
   expect_incremental_matches_batch(spec, wide_overlap_history(6, true));
+}
+
+TEST(IncrementalPins, RecordedCountersAndWitnesses) {
+  // Final windows, visited states, frontier size, retired operations and
+  // witness of the example-history and wide-overlap streams at windows 1,
+  // 2 and 16 in both dedup modes, as the streaming checker's own window
+  // policy produced them before the windows moved onto CalPolicy.
+  const std::vector<std::string> expected = pins::expected_lines(
+      std::string(CAL_TEST_DATA_DIR) + "/policy_pins.txt", "inc ");
+  const std::vector<std::string> got = pins::incremental_pin_lines();
+  ASSERT_EQ(got.size(), expected.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], expected[i]);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Committed pending returns are keyed by value, not by hash.
+
+/// `h` with every 63 in a payload (a bare integer or a pair's integer)
+/// replaced by `v`.
+History with_63_as(const History& h, std::int64_t v) {
+  std::vector<Action> actions = h.actions();
+  for (Action& a : actions) {
+    if (a.payload == iv(63)) a.payload = iv(v);
+    if (a.payload == Value::pair(true, 63)) a.payload = Value::pair(true, v);
+  }
+  return History(std::move(actions));
+}
+
+TEST(IncrementalPendingReturns, HashCollidingReturnsStayDistinct) {
+  // Two dequeues stay pending while 63 is enqueued; they return (true,63)
+  // and (false,0), which Value::hash() maps to one word. With committed
+  // returns keyed by hash, a window merged "t1 took 63, t2 found it
+  // empty" with the swapped explanation and could keep the one the
+  // responses then contradict: windows 1, 2, 5 and 10 rejected this
+  // linearizable stream. The twin with 64 never collided.
+  SeqAsCaSpec queue(std::make_shared<QueueSpec>(Symbol{"Q"}));
+  const History h63 = load_history("queue_pending_63.history");
+  for (const History& h : {h63, with_63_as(h63, 64)}) {
+    ASSERT_TRUE(CalChecker(queue).check(h).ok) << h.to_string();
+    for (std::size_t window = 1; window <= 12; ++window) {
+      for (bool exact : {false, true}) {
+        IncrementalOptions opts;
+        opts.window = window;
+        opts.exact_visited = exact;
+        IncrementalChecker inc(queue, opts);
+        inc.push(h);
+        inc.finish();
+        ASSERT_TRUE(inc.ok()) << "window=" << window << " exact=" << exact
+                              << ": " << inc.status().reason << "\n"
+                              << h.to_string();
+        const std::optional<CaTrace> w = inc.witness();
+        ASSERT_TRUE(w.has_value());
+        EXPECT_TRUE(replay_ca(*w, queue).ok) << "window=" << window;
+        EXPECT_TRUE(agrees_with(h, *w).agrees) << "window=" << window;
+      }
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -46,8 +46,10 @@
 //                     within one window of the offending response and
 //                     prints the consumed prefix as a replayable history.
 //   --window N        actions per streaming window (--follow; default 16,
-//                     at least 1). --follow refuses --symmetry: the
-//                     incremental checker has no symmetry groups.
+//                     at least 1). --follow refuses --symmetry: a window
+//                     runs the batch CAL search from the stream's
+//                     frontier, and merging symmetric operations there
+//                     has no soundness argument yet.
 //
 // Specs:
 //   exchanger:<obj>[:<method>]   CA-spec (swap pairs / failures)
@@ -500,8 +502,9 @@ int main(int argc, char** argv) {
     }
     if (opt.symmetry) {
       std::fprintf(stderr,
-                   "--symmetry is not supported with --follow (the "
-                   "incremental checker has no symmetry groups)\n");
+                   "--symmetry is not supported with --follow (window "
+                   "searches start from the stream's frontier, where "
+                   "symmetry merging has no soundness argument yet)\n");
       return 2;
     }
     if (opt.files.empty()) return run_follow(opt, *spec, std::cin);
