@@ -32,6 +32,11 @@
 # e.g. `bench/run_benches.sh streaming` re-records BENCH_streaming.json
 # and leaves the six other files as they are.
 #
+# Repetitions of different rows are interleaved in random order
+# (--benchmark_enable_random_interleaving): on a shared host, rows run
+# back to back in registration order read the first-registered rows
+# slower.
+#
 # Benches are built (and, when missing, configured) in a dedicated Release
 # tree: every checked-in number must come from optimized code, and each
 # run is verified against the cal_build_type context stamp (see
@@ -146,6 +151,7 @@ run_series() {
   "$bin" \
     --benchmark_filter="$filter" \
     --benchmark_repetitions="$REPS" \
+    --benchmark_enable_random_interleaving=true \
     --benchmark_report_aggregates_only=true \
     --benchmark_out_format=json \
     --benchmark_out="$out"

@@ -39,8 +39,9 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
           std::vector<Operation> group;
           group.reserve(end - k);
           for (; k < end; ++k) {
-            group.push_back(ops[steps[k].record].op);
-            group.back().ret = std::move(steps[k].ret);
+            const Operation& op = ops[steps[k].record].op;
+            group.push_back(Operation::make(op.tid, op.object, op.method,
+                                            op.arg, std::move(steps[k].ret)));
           }
           const Symbol object = group.front().object;
           elements.emplace_back(object, std::move(group));
@@ -79,6 +80,9 @@ CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
 }
 
 CalCheckResult CalChecker::check(const History& history) const {
+  if (const std::vector<OpRecord>* kept = history.kept_operations()) {
+    return check(*kept);
+  }
   const std::optional<std::vector<OpRecord>> ops =
       history.well_formed_operations();
   if (!ops) return CalCheckResult{};  // ill-formed: not a member

@@ -11,50 +11,6 @@ namespace cal {
 
 namespace {
 
-/// One value per thread id for a single pass over a history: a flat
-/// open-addressing table (linear probing, power-of-two capacity, at most
-/// half full) instead of a node-based map's allocation per thread. Every
-/// thread's value starts as kNone.
-class ThreadTable {
- public:
-  static constexpr std::size_t kNone = static_cast<std::size_t>(-1);
-
-  std::size_t& operator[](ThreadId tid) {
-    if (2 * (size_ + 1) > slots_.size()) grow();
-    Slot& s = probe(tid);
-    if (!s.used) {
-      s = Slot{tid, true, kNone};
-      ++size_;
-    }
-    return s.value;
-  }
-
- private:
-  struct Slot {
-    ThreadId tid = 0;
-    bool used = false;
-    std::size_t value = kNone;
-  };
-
-  Slot& probe(ThreadId tid) {
-    const std::size_t mask = slots_.size() - 1;
-    std::size_t i = (tid * 0x9e3779b9u) & mask;
-    while (slots_[i].used && slots_[i].tid != tid) i = (i + 1) & mask;
-    return slots_[i];
-  }
-
-  void grow() {
-    std::vector<Slot> old(std::max<std::size_t>(16, 2 * slots_.size()));
-    old.swap(slots_);
-    for (const Slot& s : old) {
-      if (s.used) probe(s.tid) = s;
-    }
-  }
-
-  std::vector<Slot> slots_;
-  std::size_t size_ = 0;
-};
-
 std::size_t invocations(const std::vector<Action>& actions) {
   return static_cast<std::size_t>(
       std::count_if(actions.begin(), actions.end(),
@@ -124,6 +80,7 @@ bool History::sequential() const {
 }
 
 bool History::well_formed() const {
+  if (kept_ != Kept::kNone) return kept_ == Kept::kWellFormed;
   // Per-thread state: the index of the thread's open invocation, if any.
   ThreadTable open;
   for (std::size_t i = 0; i < actions_.size(); ++i) {
@@ -152,56 +109,37 @@ bool History::complete() const {
 
 namespace {
 
-/// The walk behind operations() and well_formed_operations(): appends the
-/// operations of `actions` to `out` in invocation order. With `strict` it
-/// stops at the first action that breaks well-formedness and returns
-/// false; otherwise it skips stray responses, as operations() always has.
-bool extract_operations(const std::vector<Action>& actions, bool strict,
-                        std::vector<OpRecord>& out) {
-  out.reserve(invocations(actions));
-  // Index into `out` of each thread's open operation.
-  ThreadTable open;
+/// The walk behind operations() and well_formed_operations(): the
+/// operations of `actions` in invocation order, or nullopt when a strict
+/// walk meets an action that breaks well-formedness.
+std::optional<std::vector<OpRecord>> extract_operations(
+    const std::vector<Action>& actions, bool strict) {
+  RecordWalk walk(strict);
+  walk.reserve(invocations(actions));
   for (std::size_t i = 0; i < actions.size(); ++i) {
-    const Action& a = actions[i];
-    std::size_t& slot = open[a.tid];
-    if (a.is_invoke()) {
-      if (strict && slot != ThreadTable::kNone) return false;  // nested
-      slot = out.size();
-      out.push_back(OpRecord{
-          Operation::pending(a.tid, a.object, a.method, a.payload), i,
-          std::nullopt});
-    } else {
-      if (slot == ThreadTable::kNone) {
-        if (strict) return false;  // response without an open invocation
-        continue;
-      }
-      OpRecord& rec = out[slot];
-      if (strict &&
-          (rec.op.object != a.object || rec.op.method != a.method)) {
-        return false;  // response to another object or method
-      }
-      rec.op.ret = a.payload;
-      rec.res_index = i;
-      slot = ThreadTable::kNone;
-    }
+    if (!walk.step(actions[i], i)) return std::nullopt;
   }
-  return true;
+  return std::move(walk).take();
 }
 
 }  // namespace
 
 std::vector<OpRecord> History::operations() const {
-  std::vector<OpRecord> out;
-  extract_operations(actions_, /*strict=*/false, out);
-  return out;
+  // A well-formed history's lenient walk is its strict walk.
+  if (kept_ == Kept::kWellFormed) return kept_records_;
+  return *extract_operations(actions_, /*strict=*/false);
 }
 
 std::optional<std::vector<OpRecord>> History::well_formed_operations() const {
-  std::vector<OpRecord> out;
-  if (!extract_operations(actions_, /*strict=*/true, out)) {
-    return std::nullopt;
+  switch (kept_) {
+    case Kept::kWellFormed:
+      return kept_records_;
+    case Kept::kIllFormed:
+      return std::nullopt;
+    case Kept::kNone:
+      break;
   }
-  return out;
+  return extract_operations(actions_, /*strict=*/true);
 }
 
 History History::drop_pending() const {

@@ -41,6 +41,9 @@ IntervalCheckResult IntervalLinChecker::check(
 }
 
 IntervalCheckResult IntervalLinChecker::check(const History& history) const {
+  if (const std::vector<OpRecord>* kept = history.kept_operations()) {
+    return check(*kept);
+  }
   const std::optional<std::vector<OpRecord>> ops =
       history.well_formed_operations();
   if (!ops) return IntervalCheckResult{};  // ill-formed: not a member

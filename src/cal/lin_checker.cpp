@@ -18,8 +18,9 @@ LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
         std::vector<Operation> witness;
         witness.reserve(oc->linearization.size());
         for (LinearizedOp& step : oc->linearization) {
-          witness.push_back(ops[step.record].op);
-          witness.back().ret = std::move(step.ret);
+          const Operation& op = ops[step.record].op;
+          witness.push_back(Operation::make(op.tid, op.object, op.method,
+                                            op.arg, std::move(step.ret)));
         }
         result.witness = std::move(witness);
       }
@@ -50,6 +51,9 @@ LinCheckResult LinChecker::check(const std::vector<OpRecord>& ops) const {
 }
 
 LinCheckResult LinChecker::check(const History& history) const {
+  if (const std::vector<OpRecord>* kept = history.kept_operations()) {
+    return check(*kept);
+  }
   const std::optional<std::vector<OpRecord>> ops =
       history.well_formed_operations();
   if (!ops) return LinCheckResult{};  // ill-formed: not linearizable

@@ -7,12 +7,16 @@
 // must never leak between concurrent checks. Every accepting witness must
 // also agree (Def. 5) with its history. The stress cases flood the pool
 // with the wide-overlap workload, the subset enumeration's adversarial
-// case. The CI TSan job runs this suite.
+// case. As `cal_check --jobs` workers do, every pool task also parses the
+// history's text itself and checks that copy, which reads the records the
+// parse kept (and runs the parser's per-thread caches on every worker).
+// The CI TSan job runs this suite.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
 #include <random>
+#include <string>
 #include <vector>
 
 #include "cal/agree.hpp"
@@ -20,6 +24,7 @@
 #include "cal/parallel/task_pool.hpp"
 #include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
+#include "cal/text.hpp"
 #include "corpus.hpp"
 
 namespace cal {
@@ -66,22 +71,31 @@ Outcome outcome_of(const CalCheckResult& r) {
 
 /// Checks every history one after another, then kCopies times each, all
 /// at once on a pool of `workers` (0 = one per hardware thread, as
-/// `--jobs 0`) through one shared checker. Every concurrent outcome must
-/// equal the sequential one, which is returned.
+/// `--jobs 0`) through one shared checker: each task checks the shared
+/// history and a copy it parses from the history's text. Every concurrent
+/// outcome must equal the sequential one, which is returned.
 std::vector<Outcome> expect_parallel_matches_sequential(
     const CaSpec& spec, const std::vector<History>& histories,
     const CalCheckOptions& opts, std::size_t workers = kWorkers) {
   const CalChecker checker(spec, opts);
   std::vector<Outcome> want;
+  std::vector<std::string> texts;
   want.reserve(histories.size());
-  for (const History& h : histories) want.push_back(outcome_of(checker.check(h)));
+  for (const History& h : histories) {
+    want.push_back(outcome_of(checker.check(h)));
+    texts.push_back(format_history(h));
+  }
 
   std::vector<Outcome> got(histories.size() * kCopies);
+  std::vector<Outcome> got_parsed(got.size());
   {
     par::TaskPool pool(workers);
     for (std::size_t i = 0; i < got.size(); ++i) {
       pool.submit([&, i] {
-        got[i] = outcome_of(checker.check(histories[i % histories.size()]));
+        const std::size_t k = i % histories.size();
+        got[i] = outcome_of(checker.check(histories[k]));
+        const ParseResult<History> parsed = parse_history(texts[k]);
+        if (parsed) got_parsed[i] = outcome_of(checker.check(*parsed.value));
       });
     }
     pool.wait_idle();
@@ -92,6 +106,10 @@ std::vector<Outcome> expect_parallel_matches_sequential(
         << "order_check=" << opts.order_check << " copy "
         << i / histories.size() << " diverged on\n"
         << histories[k].to_string();
+    EXPECT_EQ(got_parsed[i], want[k])
+        << "order_check=" << opts.order_check << " parsed copy "
+        << i / histories.size() << " diverged on\n"
+        << texts[k];
   }
   return want;
 }

@@ -174,10 +174,10 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
             ": " + parsed.error->message + "\n";
     return o;
   }
+  // The parse kept the operation records and the well-formedness
+  // verdict; the checkers read them in place.
   const History& history = *parsed.value;
-  const std::optional<std::vector<OpRecord>> ops =
-      history.well_formed_operations();
-  if (!ops) {
+  if (!history.well_formed()) {
     o.out = "REJECT: history is not well-formed\n";
     o.code = 1;
     return o;
@@ -189,7 +189,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     copts.symmetry = opt.symmetry;
     copts.order_check = opt.order_check;
     CalChecker checker(*spec.ca, copts);
-    CalCheckResult r = checker.check(*ops);
+    CalCheckResult r = checker.check(history);
     std::string stats;
     if (r.order_checked) {
       stats = "path=order, " + std::to_string(r.order_values) + " values, " +
@@ -244,7 +244,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     lopts.exact_visited = opt.exact_visited;
     lopts.order_check = opt.order_check;
     LinChecker checker(*spec.seq, lopts);
-    LinCheckResult r = checker.check(*ops);
+    LinCheckResult r = checker.check(history);
     const std::string stats =
         r.order_checked
             ? std::string("path=order")
