@@ -13,9 +13,11 @@
 //   * incremental vs window size at fixed length — the latency/throughput
 //     knob (small windows = tight violation-latency bound, more searches).
 //
-// The batch rows pass order_check = false: the comparison is between
-// engine searches, and the exchanger's pairing sweep would answer them
-// without one.
+// The incremental rows carry a path axis, `order`: 1 decides the stream
+// with the online pairing monitor (IncrementalOptions::order_check, the
+// default), 0 with engine window searches. The batch rows pass
+// order_check = false: the comparison is between engine searches, and the
+// exchanger's pairing monitor would answer them without one.
 #include <benchmark/benchmark.h>
 
 #include "cal/cal_checker.hpp"
@@ -67,6 +69,7 @@ void BM_Streaming_Incremental(benchmark::State& state) {
   for (auto _ : state) {
     engine::IncrementalOptions opts;
     opts.window = 16;
+    opts.order_check = state.range(1) != 0;
     engine::IncrementalChecker checker(spec, opts);
     checker.push(h);
     checker.finish();
@@ -83,11 +86,8 @@ void BM_Streaming_Incremental(benchmark::State& state) {
   state.counters["retired"] = static_cast<double>(retired);
 }
 BENCHMARK(BM_Streaming_Incremental)
-    ->Arg(64)
-    ->Arg(256)
-    ->Arg(1024)
-    ->Arg(65536)
-    ->Arg(1048576);
+    ->ArgNames({"", "order"})
+    ->ArgsProduct({{64, 256, 1024, 65536, 1048576}, {0, 1}});
 
 void BM_Streaming_BatchFinal(benchmark::State& state) {
   const std::size_t n_ops = static_cast<std::size_t>(state.range(0));
@@ -145,6 +145,7 @@ void BM_Streaming_WindowSize(benchmark::State& state) {
   for (auto _ : state) {
     engine::IncrementalOptions opts;
     opts.window = window;
+    opts.order_check = state.range(1) != 0;
     engine::IncrementalChecker checker(spec, opts);
     checker.push(h);
     checker.finish();
@@ -156,7 +157,9 @@ void BM_Streaming_WindowSize(benchmark::State& state) {
                           static_cast<std::int64_t>(h.actions().size()));
   state.counters["windows"] = static_cast<double>(windows);
 }
-BENCHMARK(BM_Streaming_WindowSize)->Arg(4)->Arg(16)->Arg(64)->Arg(512);
+BENCHMARK(BM_Streaming_WindowSize)
+    ->ArgNames({"", "order"})
+    ->ArgsProduct({{4, 16, 64, 512}, {0, 1}});
 
 }  // namespace
 

@@ -73,6 +73,11 @@ class CaTrace {
     return elements_;
   }
 
+  /// Moves the elements out, leaving the trace empty.
+  [[nodiscard]] std::vector<CaElement> take_elements() noexcept {
+    return std::move(elements_);
+  }
+
   void append(CaElement e) { elements_.push_back(std::move(e)); }
   void append(const CaTrace& t) {
     elements_.insert(elements_.end(), t.elements_.begin(), t.elements_.end());

@@ -1,10 +1,12 @@
 #include "cal/cal_checker.hpp"
 
+#include <algorithm>
 #include <utility>
 #include <vector>
 
 #include "cal/engine/cal_policy.hpp"
 #include "cal/engine/search_engine.hpp"
+#include "cal/specs/union_spec.hpp"
 
 namespace cal {
 
@@ -24,7 +26,70 @@ std::vector<CaStepResult> SeqAsCaSpec::step(
   return out;
 }
 
+CalCheckResult CalChecker::check_parts(
+    const std::vector<OpRecord>& ops) const {
+  CalCheckResult result;
+  // The first entry of an object governs it, as in UnionCaSpec::step.
+  std::vector<const CaSpec::Part*> parts;
+  for (const CaSpec::Part& part : spec_.parts()) {
+    if (std::none_of(parts.begin(), parts.end(), [&](const CaSpec::Part* p) {
+          return p->first == part.first;
+        })) {
+      parts.push_back(&part);
+    }
+  }
+  std::vector<std::vector<OpRecord>> split(parts.size());
+  for (const OpRecord& rec : ops) {
+    std::size_t k = 0;
+    while (k < parts.size() && parts[k]->first != rec.op.object) ++k;
+    if (k < parts.size()) {
+      split[k].push_back(rec);
+    } else if (!rec.is_pending()) {
+      return result;  // no spec admits a completed operation here
+    }
+  }
+  bool rejected = false;
+  bool exhausted = false;
+  result.ok = true;
+  result.order_checked = true;
+  std::vector<PartWitness> witnesses;
+  std::vector<std::vector<std::pair<ThreadId, std::size_t>>> invocations(
+      parts.size());
+  for (std::size_t k = 0; k < parts.size(); ++k) {
+    CalCheckResult r =
+        CalChecker(*parts[k]->second, options_).check(split[k]);
+    result.ok = result.ok && r.ok;
+    rejected = rejected || (!r.ok && !r.exhausted);
+    exhausted = exhausted || r.exhausted;
+    result.order_checked = result.order_checked && r.order_checked;
+    result.visited_states += r.visited_states;
+    result.fired_elements += r.fired_elements;
+    result.visited_bytes += r.visited_bytes;
+    result.step_cache_hits += r.step_cache_hits;
+    result.step_cache_misses += r.step_cache_misses;
+    result.pruned_subsets += r.pruned_subsets;
+    result.symmetry_merged += r.symmetry_merged;
+    result.order_values += r.order_values;
+    result.order_zones += r.order_zones;
+    result.order_bumps += r.order_bumps;
+    if (std::optional<CaTrace> w = std::exchange(r.witness, std::nullopt)) {
+      invocations[k].reserve(split[k].size());
+      for (const OpRecord& rec : split[k]) {
+        invocations[k].emplace_back(rec.op.tid, rec.inv_index);
+      }
+      witnesses.push_back(PartWitness{w->take_elements(), invocations[k]});
+    }
+    result.parts.push_back(CalCheckPart{parts[k]->first, std::move(r)});
+  }
+  result.exhausted = !rejected && exhausted;
+  if (result.ok) {
+    result.witness = CaTrace(merge_part_witnesses(std::move(witnesses)));
+  }
+  return result;
+}
+
 CalCheckResult CalChecker::check(const std::vector<OpRecord>& ops) const {
+  if (options_.order_check && !spec_.parts().empty()) return check_parts(ops);
   if (options_.order_check) {
     if (auto oc = spec_.order_check(ops, options_.complete_pending)) {
       CalCheckResult result;

@@ -53,12 +53,17 @@ struct CalCheckOptions {
   /// Consult CaSpec::order_check before the engine. Specs with a
   /// polynomial membership characterization (the stack, queue and
   /// priority queue through SeqAsCaSpec; the exchanger and the
-  /// synchronous queue by their pairing sweep) decide the history without
-  /// any state search; a declined order check falls back to the engine.
-  /// Disable to force the engine (cal_check --no-order-check,
+  /// synchronous queue by their pairing monitor) decide the history
+  /// without any state search; a declined order check falls back to the
+  /// engine. A spec with parts (UnionCaSpec) is decided object by object,
+  /// each part by its own order path or the engine (DESIGN.md
+  /// § "Locality"). Disable to force the engine on the whole spec (a
+  /// union as the product of its parts: cal_check --no-order-check,
   /// differential tests, tests whose subject is the engine).
   bool order_check = true;
 };
+
+struct CalCheckPart;
 
 struct CalCheckResult {
   bool ok = false;
@@ -93,8 +98,20 @@ struct CalCheckResult {
   std::size_t order_values = 0;
   std::size_t order_zones = 0;
   std::size_t order_bumps = 0;
+  /// A spec with parts, checked object by object: each part's own result
+  /// (without its witness, which `witness` merges), in the spec's order.
+  /// The counters above are then their sums, `order_checked` holds when
+  /// every part took its order path, and `exhausted` only when no part
+  /// rejected.
+  std::vector<CalCheckPart> parts;
 
   explicit operator bool() const noexcept { return ok; }
+};
+
+/// One object's share of a CalCheckResult.
+struct CalCheckPart {
+  Symbol object;
+  CalCheckResult result;
 };
 
 class CalChecker {
@@ -109,6 +126,11 @@ class CalChecker {
   [[nodiscard]] CalCheckResult check(const std::vector<OpRecord>& ops) const;
 
  private:
+  /// check() on a spec with parts: one check per object, one merged
+  /// witness.
+  [[nodiscard]] CalCheckResult check_parts(
+      const std::vector<OpRecord>& ops) const;
+
   const CaSpec& spec_;
   CalCheckOptions options_;
 };

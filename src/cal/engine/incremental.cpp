@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
+#include <iterator>
+#include <string>
 #include <utility>
 
 #include "cal/engine/cal_policy.hpp"
+#include "cal/engine/order_checker.hpp"
 #include "cal/engine/search_engine.hpp"
 #include "cal/history_index.hpp"
+#include "cal/specs/union_spec.hpp"
 
 namespace cal::engine {
 
@@ -60,82 +65,93 @@ std::vector<CaElement> WitnessSegment::trace(const WitnessSegment* last) {
   return out;
 }
 
-IncrementalChecker::IncrementalChecker(const CaSpec& spec,
-                                       IncrementalOptions options)
-    : spec_(spec), options_(std::move(options)) {
-  if (options_.window == 0) options_.window = 1;
-  FrontierEntry root;
-  root.state = spec_.initial();
-  frontier_.push_back(std::move(root));
-}
+namespace detail {
 
-void IncrementalChecker::fail(std::string reason) {
-  status_.ok = false;
-  if (status_.violation_window == 0) {
-    status_.violation_window = status_.windows_checked;
+/// One decision procedure for a stream, or for one object's part of it.
+/// The checker has already checked every action well-formed; `gid`
+/// numbers the stream's operations in invocation order and `at` is an
+/// action's index in the whole stream.
+class StreamDecider {
+ public:
+  struct Counters {
+    std::size_t frontier = 1;
+    std::size_t active = 0;
+    std::size_t retired = 0;
+    std::size_t visited = 0;
+  };
+
+  virtual ~StreamDecider() = default;
+
+  virtual void invoke(std::size_t gid, const Action& a, std::size_t at) = 0;
+  /// The response to operation `gid`, invoked at action `inv`. False on a
+  /// violation (`reason`).
+  virtual bool respond(std::size_t gid, std::size_t inv, const Action& a,
+                       std::size_t at) = 0;
+  /// A window boundary of the whole stream. False on a violation.
+  virtual bool close_window() = 0;
+  /// The end of the stream, after its last window. False on a violation.
+  virtual bool finish(bool complete_pending) = 0;
+  /// Appends the witness elements, in order (after a successful finish()).
+  virtual void witness(std::vector<CaElement>& out) const = 0;
+  [[nodiscard]] virtual Counters counters() const = 0;
+  [[nodiscard]] virtual bool order_decided() const = 0;
+
+  std::string reason;
+  bool exhausted = false;
+};
+
+}  // namespace detail
+
+namespace {
+
+using detail::StreamDecider;
+
+/// Appends `elements` to `out`, moving them (and taking the buffer when
+/// `out` is empty).
+void append(std::vector<CaElement>& out, std::vector<CaElement>&& elements) {
+  if (out.empty()) {
+    out = std::move(elements);
+    return;
   }
-  status_.reason = std::move(reason);
+  out.insert(out.end(), std::make_move_iterator(elements.begin()),
+             std::make_move_iterator(elements.end()));
 }
 
-void IncrementalChecker::violation(std::string reason) {
-  frontier_.clear();
-  status_.frontier_size = 0;
-  status_.active_ops = active_ids_.size();
-  fail(std::move(reason));
-}
+std::unique_ptr<StreamDecider> make_decider(const CaSpec& spec,
+                                            const IncrementalOptions& o);
 
-OpRecord& IncrementalChecker::active_op(std::size_t gid) {
-  return active_ops_[local_index(active_ids_, gid)];
-}
+/// Window searches on the engine (see the header): a frontier of
+/// explanations, advanced by one CalPolicy collect-search per window.
+class EngineWindows final : public StreamDecider {
+ public:
+  EngineWindows(const CaSpec& spec, const IncrementalOptions& o)
+      : spec_(spec), options_(o) {
+    FrontierEntry root;
+    root.state = spec_.initial();
+    frontier_.push_back(std::move(root));
+  }
 
-void IncrementalChecker::push(const Action& action) {
-  if (!status_.ok || status_.finished) return;
-  const std::size_t idx = status_.actions_consumed++;
-  std::size_t& open = open_[action.tid];
-  if (action.is_invoke()) {
-    if (open != ThreadTable::kNone) {
-      fail("not well-formed: invocation while thread " +
-           std::to_string(action.tid) + " has an open call");
-      return;
-    }
+  void invoke(std::size_t gid, const Action& a, std::size_t at) override {
     OpRecord rec;
-    rec.op = Operation{action.tid, action.object, action.method,
-                       action.payload, std::nullopt};
-    rec.inv_index = idx;
-    const std::size_t gid = status_.operations++;
-    open = gid;
+    rec.op = Operation{a.tid, a.object, a.method, a.payload, std::nullopt};
+    rec.inv_index = at;
     active_ids_.push_back(gid);
     active_ops_.push_back(std::move(rec));
-  } else {
-    if (open == ThreadTable::kNone) {
-      fail("not well-formed: response without an open call on thread " +
-           std::to_string(action.tid));
-      return;
-    }
-    OpRecord& rec = active_op(open);
-    if (rec.op.object != action.object || rec.op.method != action.method) {
-      fail("not well-formed: response does not match the open call on "
-           "thread " +
-           std::to_string(action.tid));
-      return;
-    }
-    rec.op.ret = action.payload;
-    rec.res_index = idx;
-    newly_completed_.push_back(open);
-    open_.erase(action.tid);
-    ++status_.completed;
   }
-  if (++buffered_ >= options_.window) check_window();
-}
 
-void IncrementalChecker::push(const History& history) {
-  for (const Action& a : history.actions()) push(a);
-}
+  bool respond(std::size_t gid, std::size_t /*inv*/, const Action& a,
+               std::size_t at) override {
+    OpRecord& rec = active_op(gid);
+    rec.op.ret = a.payload;
+    rec.res_index = at;
+    newly_completed_.push_back(gid);
+    return true;
+  }
 
-void IncrementalChecker::finish() {
-  if (status_.finished) return;
-  if (status_.ok && buffered_ > 0) check_window();
-  if (status_.ok && !options_.complete_pending) {
+  bool close_window() override;
+
+  bool finish(bool complete_pending) override {
+    if (complete_pending) return true;
     // Without completion-by-extension, only explanations that fired no
     // never-completed operation count (window searches fire pending ops
     // speculatively, since mid-stream "pending" may still complete).
@@ -152,24 +168,72 @@ void IncrementalChecker::finish() {
       if (!fired_pending) kept.push_back(std::move(entry));
     }
     frontier_ = std::move(kept);
-    status_.frontier_size = frontier_.size();
     if (frontier_.empty()) {
-      violation("violation: every explanation fires an operation that never "
-                "completed");
+      reason = "violation: every explanation fires an operation that never "
+               "completed";
+      return false;
     }
+    return true;
   }
-  status_.finished = true;
-}
 
-std::optional<CaTrace> IncrementalChecker::witness() const {
-  if (!status_.ok || !options_.track_witness || frontier_.empty()) {
-    return std::nullopt;
+  void witness(std::vector<CaElement>& out) const override {
+    if (frontier_.empty()) return;
+    append(out, WitnessSegment::trace(frontier_.front().witness.get()));
   }
-  return CaTrace(WitnessSegment::trace(frontier_.front().witness.get()));
-}
 
-void IncrementalChecker::apply_responses() {
-  if (newly_completed_.empty()) return;
+  [[nodiscard]] Counters counters() const override {
+    return Counters{frontier_.size(), active_ids_.size(), retired_, visited_};
+  }
+  [[nodiscard]] bool order_decided() const override { return false; }
+
+ private:
+  /// One surviving explanation: a spec state reachable by firing exactly
+  /// the listed active operations (every retired one, and for the pending
+  /// ones among them the return values committed to).
+  struct FrontierEntry {
+    SpecState state;
+    /// Global ids of fired, non-retired operations, ascending.
+    std::vector<std::size_t> fired;
+    /// Return values committed to for fired-while-pending operations,
+    /// ascending by global id (a subset of `fired`).
+    std::vector<std::pair<std::size_t, Value>> pending_rets;
+    /// Last segment of the CA-elements fired since the start of the stream
+    /// (when track_witness; null while nothing has fired). Entries that
+    /// grew from the same explanation share every earlier segment.
+    std::shared_ptr<const WitnessSegment> witness;
+  };
+
+  /// fails for a stream no explanation survives: empties the frontier.
+  bool violation(std::string why) {
+    frontier_.clear();
+    reason = std::move(why);
+    return false;
+  }
+  /// Drops frontier entries whose committed pending returns contradict the
+  /// responses that arrived since the previous window.
+  bool apply_responses();
+  /// Retires operations that completed and are fired in every entry.
+  void retire();
+  /// The active operation with global id `gid` (which must be active).
+  OpRecord& active_op(std::size_t gid) {
+    return active_ops_[local_index(active_ids_, gid)];
+  }
+
+  const CaSpec& spec_;
+  IncrementalOptions options_;
+  /// The non-retired operations, ascending by global id: `active_ops_[i]`
+  /// has id `active_ids_[i]`, and a window search's local index is that
+  /// position. Retirement erases from both.
+  std::vector<std::size_t> active_ids_;
+  std::vector<OpRecord> active_ops_;
+  std::vector<std::size_t> newly_completed_;  ///< since the last window
+  std::vector<FrontierEntry> frontier_;
+  std::size_t retired_ = 0;
+  std::size_t visited_ = 0;
+};
+
+bool EngineWindows::apply_responses() {
+  if (newly_completed_.empty()) return true;
   std::vector<FrontierEntry> kept;
   kept.reserve(frontier_.size());
   for (FrontierEntry& entry : frontier_) {
@@ -190,16 +254,14 @@ void IncrementalChecker::apply_responses() {
   frontier_ = std::move(kept);
   newly_completed_.clear();
   if (frontier_.empty()) {
-    violation("violation: every explanation committed to a different "
-              "return value than the one observed");
+    return violation("violation: every explanation committed to a different "
+                     "return value than the one observed");
   }
+  return true;
 }
 
-void IncrementalChecker::check_window() {
-  buffered_ = 0;
-  ++status_.windows_checked;
-  apply_responses();
-  if (!status_.ok) return;
+bool EngineWindows::close_window() {
+  if (!apply_responses()) return false;
 
   // The window problem ranges over the active operations; an operation's
   // local index is its position in the active table.
@@ -257,24 +319,23 @@ void IncrementalChecker::check_window() {
   CalPolicy policy(active_ops_, spec_, Pending::kOpen, std::move(roots));
   SequentialSearch<CalPolicy> driver(policy, sopts);
   const SearchStats stats = driver.run_collect(sink);
-  status_.visited_states += stats.visited_states;
+  visited_ += stats.visited_states;
 
   if (stats.exhausted) {
-    status_.exhausted = true;
-    fail("window search exhausted: max_visited cap hit");
-    return;
+    exhausted = true;
+    reason = "window search exhausted: max_visited cap hit";
+    return false;
   }
   if (next.empty()) {
-    violation("violation: no explanation fires every completed operation");
-    return;
+    return violation("violation: no explanation fires every completed "
+                     "operation");
   }
   frontier_ = std::move(next);
   retire();
-  status_.frontier_size = frontier_.size();
-  status_.active_ops = active_ids_.size();
+  return true;
 }
 
-void IncrementalChecker::retire() {
+void EngineWindows::retire() {
   // fired_in[l]: entries that fired the completed active operation l.
   std::vector<std::size_t> fired_in(active_ids_.size(), 0);
   for (const FrontierEntry& entry : frontier_) {
@@ -297,7 +358,7 @@ void IncrementalChecker::retire() {
     ++kept;
   }
   if (retired.empty()) return;
-  status_.retired_ops += retired.size();
+  retired_ += retired.size();
   active_ids_.resize(kept);
   active_ops_.resize(kept);
   for (FrontierEntry& entry : frontier_) {
@@ -309,6 +370,346 @@ void IncrementalChecker::retire() {
                                      }),
                       entry.fired.end());
   }
+}
+
+/// An exchanger or synchronous-queue object, decided online by a
+/// PairingMonitor (order_checker.hpp): no window searches, and a violation
+/// at the response that makes the stream unexplainable.
+class PairingStream final : public StreamDecider {
+ public:
+  PairingStream(const PairingShapes& shapes, const IncrementalOptions& o)
+      : shapes_(shapes),
+        track_(o.track_witness),
+        monitor_(/*eager=*/true, /*keep_elements=*/o.track_witness) {}
+
+  void invoke(std::size_t gid, const Action& a, std::size_t at) override {
+    Operation op{a.tid, a.object, a.method, a.payload, std::nullopt};
+    const std::size_t record = records_++;
+    monitor_.invoke(record, shapes_.shape(op), at);
+    if (track_) ops_.emplace_back();
+    open_.push_back(Open{gid, record, std::move(op)});
+  }
+
+  bool respond(std::size_t gid, std::size_t inv, const Action& a,
+               std::size_t at) override {
+    std::size_t k = 0;
+    while (open_[k].gid != gid) ++k;
+    Open call = std::move(open_[k]);
+    open_.erase(open_.begin() + static_cast<std::ptrdiff_t>(k));
+    call.op.ret = a.payload;
+    const PairShape shape = shapes_.shape(call.op);
+    if (track_) ops_[call.record] = std::move(call.op);
+    ++completed_;
+    if (monitor_.respond(call.record, shape, inv, at)) return true;
+    failed_ = true;
+    reason = shape.kind == PairShape::Kind::kReject
+                 ? "violation: no CA-element of the spec admits thread " +
+                       std::to_string(a.tid) + "'s response"
+                 : "violation: no explanation pairs every completed "
+                   "operation with a partner";
+    return false;
+  }
+
+  bool close_window() override { return true; }
+
+  bool finish(bool complete_pending) override {
+    if (track_) {
+      // Still-open calls are pending: the monitor may complete them as
+      // partners.
+      for (Open& call : open_) ops_[call.record] = call.op;
+    }
+    if (monitor_.finish(complete_pending)) return true;
+    failed_ = true;
+    reason = complete_pending
+                 ? "violation: no explanation pairs every completed "
+                   "operation with a partner"
+                 : "violation: a completed operation's only partners never "
+                   "completed";
+    return false;
+  }
+
+  void witness(std::vector<CaElement>& out) const override {
+    out.reserve(out.size() + monitor_.elements().size());
+    for (const PairingMonitor::Element& e : monitor_.elements()) {
+      const Operation& first = ops_[e.first];
+      if (e.second == PairingMonitor::kNoRecord) {
+        out.push_back(CaElement::singleton(first.object, first));
+        continue;
+      }
+      Operation second = ops_[e.second];
+      if (e.partner) second.ret = shapes_.partner_return(first);
+      out.emplace_back(first.object,
+                       std::vector<Operation>{first, std::move(second)});
+    }
+  }
+
+  /// As the engine windows count them at a boundary: every completed
+  /// operation is retired there (an owed one waits only for an open
+  /// partner, as a retired one whose partner fired pending does), and the
+  /// open calls are active.
+  [[nodiscard]] Counters counters() const override {
+    return Counters{failed_ ? 0u : 1u, open_.size(), completed_, 0};
+  }
+  [[nodiscard]] bool order_decided() const override { return true; }
+
+ private:
+  struct Open {
+    std::size_t gid = 0;
+    std::size_t record = 0;  ///< the monitor's id: ops_'s index
+    Operation op;
+  };
+
+  const PairingShapes& shapes_;
+  bool track_;
+  PairingMonitor monitor_;
+  std::vector<Open> open_;  ///< the open calls, ascending invocation
+  /// With track_witness: every operation (a deque, so the O(stream) store
+  /// grows without copying itself).
+  std::deque<Operation> ops_;
+  std::size_t records_ = 0;
+  std::size_t completed_ = 0;
+  bool failed_ = false;
+};
+
+/// A spec with parts, decided object by object (DESIGN.md § "Locality").
+class ObjectSplit final : public StreamDecider {
+ public:
+  ObjectSplit(const CaSpec& spec, const IncrementalOptions& o)
+      : track_(o.track_witness) {
+    for (const CaSpec::Part& part : spec.parts()) {
+      // The first entry of an object governs it, as in UnionCaSpec::step.
+      if (find(part.first) != nullptr) continue;
+      parts_.push_back(Sub{part.first, make_decider(*part.second, o), false, {}});
+    }
+  }
+
+  void invoke(std::size_t gid, const Action& a, std::size_t at) override {
+    // A pending call on an unregistered object never has to fire.
+    Sub* sub = find(a.object);
+    if (sub == nullptr) return;
+    sub->decider->invoke(gid, a, at);
+    sub->buffered = true;
+    if (track_) sub->invocations.emplace_back(a.tid, at);
+  }
+
+  bool respond(std::size_t gid, std::size_t inv, const Action& a,
+               std::size_t at) override {
+    Sub* sub = find(a.object);
+    if (sub == nullptr) {
+      reason = "violation: no spec is registered for object " +
+               a.object.str() + " (thread " + std::to_string(a.tid) +
+               "'s response)";
+      return false;
+    }
+    sub->buffered = true;
+    return sub->decider->respond(gid, inv, a, at) || adopt(*sub);
+  }
+
+  bool close_window() override {
+    for (Sub& sub : parts_) {
+      if (!sub.buffered) continue;
+      sub.buffered = false;
+      if (!sub.decider->close_window()) return adopt(sub);
+    }
+    return true;
+  }
+
+  bool finish(bool complete_pending) override {
+    for (Sub& sub : parts_) {
+      if (!sub.decider->finish(complete_pending)) return adopt(sub);
+    }
+    return true;
+  }
+
+  void witness(std::vector<CaElement>& out) const override {
+    std::vector<PartWitness> parts(parts_.size());
+    for (std::size_t k = 0; k < parts_.size(); ++k) {
+      parts_[k].decider->witness(parts[k].elements);
+      parts[k].invocations = parts_[k].invocations;
+    }
+    append(out, merge_part_witnesses(std::move(parts)));
+  }
+
+  [[nodiscard]] Counters counters() const override {
+    Counters total;
+    for (const Sub& sub : parts_) {
+      const Counters c = sub.decider->counters();
+      total.frontier = c.frontier == 0 || total.frontier <= kSaturate / c.frontier
+                           ? total.frontier * c.frontier
+                           : kSaturate;
+      total.active += c.active;
+      total.retired += c.retired;
+      total.visited += c.visited;
+    }
+    return total;
+  }
+
+  [[nodiscard]] bool order_decided() const override {
+    return std::any_of(parts_.begin(), parts_.end(), [](const Sub& sub) {
+      return sub.decider->order_decided();
+    });
+  }
+
+ private:
+  static constexpr std::size_t kSaturate = static_cast<std::size_t>(-1);
+
+  struct Sub {
+    Symbol object;
+    std::unique_ptr<StreamDecider> decider;
+    /// Received an action since the last window boundary.
+    bool buffered = false;
+    /// With track_witness: (thread, action index) of each invocation, for
+    /// merge_part_witnesses.
+    std::vector<std::pair<ThreadId, std::size_t>> invocations;
+  };
+
+  Sub* find(Symbol object) {
+    for (Sub& sub : parts_) {
+      if (sub.object == object) return &sub;
+    }
+    return nullptr;
+  }
+  /// Takes over a part's violation, naming its object.
+  bool adopt(const Sub& sub) {
+    reason = sub.object.str() + ": " + sub.decider->reason;
+    exhausted = sub.decider->exhausted;
+    return false;
+  }
+
+  bool track_;
+  std::vector<Sub> parts_;
+};
+
+std::unique_ptr<StreamDecider> make_decider(const CaSpec& spec,
+                                            const IncrementalOptions& o) {
+  if (o.order_check) {
+    if (!spec.parts().empty()) return std::make_unique<ObjectSplit>(spec, o);
+    if (const PairingShapes* shapes = spec.pairing()) {
+      return std::make_unique<PairingStream>(*shapes, o);
+    }
+  }
+  return std::make_unique<EngineWindows>(spec, o);
+}
+
+}  // namespace
+
+IncrementalChecker::IncrementalChecker(const CaSpec& spec,
+                                       IncrementalOptions options)
+    : options_(std::move(options)) {
+  if (options_.window == 0) options_.window = 1;
+  decider_ = make_decider(spec, options_);
+}
+
+IncrementalChecker::~IncrementalChecker() = default;
+
+bool IncrementalChecker::order_decided() const {
+  return decider_->order_decided();
+}
+
+void IncrementalChecker::fail(std::string reason) {
+  status_.ok = false;
+  if (status_.violation_window == 0) {
+    status_.violation_window = status_.windows_checked;
+  }
+  status_.reason = std::move(reason);
+}
+
+void IncrementalChecker::violation(std::size_t window) {
+  status_.ok = false;
+  if (status_.violation_window == 0) status_.violation_window = window;
+  status_.reason = decider_->reason;
+  status_.exhausted = decider_->exhausted;
+  sync_counters();
+}
+
+void IncrementalChecker::sync_counters() {
+  const detail::StreamDecider::Counters c = decider_->counters();
+  status_.frontier_size = c.frontier;
+  status_.active_ops = c.active;
+  status_.retired_ops = c.retired;
+  status_.visited_states = c.visited;
+}
+
+void IncrementalChecker::push(const Action& action) {
+  if (!status_.ok || status_.finished) return;
+  const std::size_t idx = status_.actions_consumed++;
+  std::size_t& slot = open_[action.tid];
+  if (action.is_invoke()) {
+    if (slot != ThreadTable::kNone) {
+      fail("not well-formed: invocation while thread " +
+           std::to_string(action.tid) + " has an open call");
+      return;
+    }
+    const std::size_t gid = status_.operations++;
+    const OpenCall call{gid, idx, action.object, action.method};
+    if (free_calls_.empty()) {
+      slot = calls_.size();
+      calls_.push_back(call);
+    } else {
+      slot = free_calls_.back();
+      free_calls_.pop_back();
+      calls_[slot] = call;
+    }
+    decider_->invoke(gid, action, idx);
+  } else {
+    if (slot == ThreadTable::kNone) {
+      fail("not well-formed: response without an open call on thread " +
+           std::to_string(action.tid));
+      return;
+    }
+    const OpenCall call = calls_[slot];
+    if (call.object != action.object || call.method != action.method) {
+      fail("not well-formed: response does not match the open call on "
+           "thread " +
+           std::to_string(action.tid));
+      return;
+    }
+    free_calls_.push_back(slot);
+    open_.erase(action.tid);
+    ++status_.completed;
+    if (!decider_->respond(call.gid, call.inv, action, idx)) {
+      // The response lies in the window being filled.
+      violation(status_.windows_checked + 1);
+      return;
+    }
+  }
+  if (++buffered_ >= options_.window) check_window();
+}
+
+void IncrementalChecker::push(const History& history) {
+  for (const Action& a : history.actions()) push(a);
+}
+
+void IncrementalChecker::check_window() {
+  buffered_ = 0;
+  ++status_.windows_checked;
+  if (!decider_->close_window()) {
+    violation(status_.windows_checked);
+    return;
+  }
+  sync_counters();
+}
+
+void IncrementalChecker::finish() {
+  if (status_.finished) return;
+  if (status_.ok && buffered_ > 0) check_window();
+  if (status_.ok) {
+    if (decider_->finish(options_.complete_pending)) {
+      sync_counters();
+    } else {
+      violation(status_.windows_checked);
+    }
+  }
+  status_.finished = true;
+}
+
+std::optional<CaTrace> IncrementalChecker::witness() const {
+  if (!status_.ok || !status_.finished || !options_.track_witness) {
+    return std::nullopt;
+  }
+  std::vector<CaElement> elements;
+  decider_->witness(elements);
+  return CaTrace(std::move(elements));
 }
 
 }  // namespace cal::engine

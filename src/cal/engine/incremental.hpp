@@ -4,24 +4,47 @@
 // frontend instead consumes actions *as they are published* — from a
 // runtime::Recorder cursor, a file tail, or any other action stream — and
 // re-decides membership window-by-window with bounded latency: a violation
-// is reported within one window of the response that causes it.
+// is reported within one window of the response that causes it, and the
+// final verdict after finish() equals the batch verdict on the full
+// history.
 //
-// Algorithm. After window w the checker holds the *frontier*: every search
-// state in which all operations completed by the end of window w have
-// fired (plus any subset of still-pending invocations, whose return values
-// the spec chose). The frontier is complete because every operation
-// completed by window w precedes — in real time — every operation invoked
-// later, so any witness for any extension must fire all of them before
-// anything newer: every witness threads through a frontier state. Window
-// w+1 then runs the batch checker's own search, engine::CalPolicy
-// (engine/cal_policy.hpp), in collect mode: the frontier is its roots, the
-// active operations its alphabet, and its goal states the new frontier.
-// A batch check is the one-window case: one root at the spec's initial
-// state, every operation active. An empty frontier is a violation, and
-// the final verdict after finish() equals the batch verdict on the full
-// history (engine-equivalence tests pin this on the whole corpus).
+// The checker itself keeps what the whole stream shares: well-formedness
+// (the thread table and the three malformed-stream rules, checked once on
+// the whole stream), the window count, and the status. It hands each
+// action to one decision procedure, chosen as CalChecker chooses its path
+// (IncrementalOptions::order_check mirrors CalCheckOptions::order_check):
 //
-// Two mechanisms keep this sound and scalable:
+//  * Object split — a spec with parts (UnionCaSpec) is decided object by
+//    object: CAL is local (DESIGN.md § "Locality"), so each object's
+//    sub-stream goes to its own procedure, and at every window boundary of
+//    the whole stream each part that received actions closes its window.
+//    A completed operation on an unregistered object is a violation. The
+//    witness merges the parts' witnesses by the point rule
+//    (merge_part_witnesses).
+//  * Online pairing — an exchanger or synchronous-queue object is decided
+//    by engine::PairingMonitor, the online form of the batch pairing
+//    decision: no search, a violation reported at the response that makes
+//    the stream unexplainable, and a compact witness built only by
+//    witness().
+//  * Engine windows — every other spec, and every spec with order_check
+//    off (where a union runs as the product of its parts, the differential
+//    oracle):
+//
+// After window w the engine holds the *frontier*: every search state in
+// which all operations completed by the end of window w have fired (plus
+// any subset of still-pending invocations, whose return values the spec
+// chose). The frontier is complete because every operation completed by
+// window w precedes — in real time — every operation invoked later, so any
+// witness for any extension must fire all of them before anything newer:
+// every witness threads through a frontier state. Window w+1 then runs the
+// batch checker's own search, engine::CalPolicy (engine/cal_policy.hpp),
+// in collect mode: the frontier is its roots, the active operations its
+// alphabet, and its goal states the new frontier. A batch check is the
+// one-window case: one root at the spec's initial state, every operation
+// active. An empty frontier is a violation (engine-equivalence tests pin
+// the final verdict on the whole corpus).
+//
+// Two mechanisms keep the engine windows sound and scalable:
 //
 //  * pending returns — firing a still-pending invocation commits to the
 //    return value the spec chose (Pending::kOpen). Each frontier entry
@@ -34,9 +57,11 @@
 //    window searches and node encodings scale with the (small) set of
 //    still-undecided operations, not with the length of the run.
 //
-// Nothing per window depends on the length of the run: the checker stores
-// only the active operations (retirement erases them), and a frontier
-// entry carries its witness as a pointer into a chain of shared, immutable
+// Nothing per window depends on the length of the run: the engine stores
+// only the active operations (retirement erases them), the pairing
+// monitor only the open and owed ones (plus, with track_witness, one
+// compact entry per operation for witness()), and a frontier entry
+// carries its witness as a pointer into a chain of shared, immutable
 // per-window segments (WitnessSegment) rather than as a copy of the trace.
 #pragma once
 
@@ -72,11 +97,18 @@ struct IncrementalOptions {
   bool complete_pending = true;
   /// Exact stored-key dedup instead of 128-bit fingerprints.
   bool exact_visited = false;
-  /// Keep a witness trace for every frontier entry. It is the one piece of
-  /// state that grows with the stream (the trace itself is O(stream)):
-  /// off drops that memory, leaving only the active operations and the
-  /// frontier, and witness() is then unavailable.
+  /// Keep a witness trace for every frontier entry (and the pairing
+  /// monitor's decided elements). It is the one piece of state that grows
+  /// with the stream (the trace itself is O(stream)): off drops that
+  /// memory, leaving only the active operations and the frontier, and
+  /// witness() is then unavailable.
   bool track_witness = true;
+  /// Decide by the order paths, as CalCheckOptions::order_check does in
+  /// batch: a spec with parts object by object, and an exchanger or
+  /// synchronous-queue object by the online pairing monitor instead of
+  /// window searches. Off, every window runs the engine search on the
+  /// whole spec (a union as the product of its parts).
+  bool order_check = true;
 };
 
 struct IncrementalStatus {
@@ -89,16 +121,26 @@ struct IncrementalStatus {
   std::size_t actions_consumed = 0;
   std::size_t operations = 0;  ///< invocations seen
   std::size_t completed = 0;   ///< responses seen
+  /// Window boundaries of the whole stream passed (every `window` actions,
+  /// and finish()'s remainder).
   std::size_t windows_checked = 0;
   /// Surviving explanations after the last window check (0 once a
-  /// violation has emptied the frontier).
+  /// violation has emptied the frontier); split by object, the product of
+  /// the parts' counts, where the pairing monitor's is 1.
   std::size_t frontier_size = 1;
-  /// Operations still in play for window searches (not yet retired).
+  /// Operations still in play: for window searches those not retired, for
+  /// the pairing monitor the open calls.
   std::size_t active_ops = 0;
+  /// Completed operations fired in every surviving explanation (for the
+  /// pairing monitor, every completed operation: an owed one waits only
+  /// for an open partner, as a retired one whose partner fired pending
+  /// does in the engine windows).
   std::size_t retired_ops = 0;
-  /// Cumulative engine nodes over all window searches.
+  /// Cumulative engine nodes over all window searches (the pairing monitor
+  /// searches none).
   std::size_t visited_states = 0;
-  /// 1-based window of the violation; 0 = none.
+  /// 1-based window of the violation (the window containing the response
+  /// that made the stream unexplainable); 0 = none.
   std::size_t violation_window = 0;
   /// Human-readable cause when !ok.
   std::string reason;
@@ -131,10 +173,19 @@ class WitnessSegment {
   std::vector<CaElement> elements_;
 };
 
+namespace detail {
+/// One decision procedure for a stream or for one object's part of it
+/// (defined in incremental.cpp).
+class StreamDecider;
+}  // namespace detail
+
 class IncrementalChecker {
  public:
   explicit IncrementalChecker(const CaSpec& spec,
                               IncrementalOptions options = {});
+  ~IncrementalChecker();
+  IncrementalChecker(const IncrementalChecker&) = delete;
+  IncrementalChecker& operator=(const IncrementalChecker&) = delete;
 
   /// Consumes one action; runs a window check every `options.window`
   /// actions. After a violation (or finish()) further pushes are ignored.
@@ -145,7 +196,8 @@ class IncrementalChecker {
 
   /// Checks the buffered remainder and seals the verdict: afterwards
   /// status().ok equals CalChecker::check on the full consumed history
-  /// (modulo `exhausted` and the fingerprint false-prune risk).
+  /// with the same order_check (modulo `exhausted` and the fingerprint
+  /// false-prune risk).
   void finish();
 
   [[nodiscard]] bool ok() const noexcept { return status_.ok; }
@@ -158,53 +210,38 @@ class IncrementalChecker {
   [[nodiscard]] const IncrementalStatus& status() const noexcept {
     return status_;
   }
+  /// True when an order path (the pairing monitor) decides some object of
+  /// the stream instead of window searches; the engine's own options
+  /// (exact_visited, max_visited) have no effect there.
+  [[nodiscard]] bool order_decided() const;
 
   /// On acceptance (after finish(), with track_witness): a witness trace
   /// explaining every completed operation of the stream.
   [[nodiscard]] std::optional<CaTrace> witness() const;
 
  private:
-  /// One surviving explanation: a spec state reachable by firing exactly the
-  /// listed active operations (every retired one, and for the pending ones
-  /// among them the return values committed to).
-  struct FrontierEntry {
-    SpecState state;
-    /// Global ids of fired, non-retired operations, ascending.
-    std::vector<std::size_t> fired;
-    /// Return values committed to for fired-while-pending operations,
-    /// ascending by global id (a subset of `fired`).
-    std::vector<std::pair<std::size_t, Value>> pending_rets;
-    /// Last segment of the CA-elements fired since the start of the stream
-    /// (when track_witness; null while nothing has fired). Entries that grew
-    /// from the same explanation share every earlier segment.
-    std::shared_ptr<const WitnessSegment> witness;
+  /// The open call of one thread.
+  struct OpenCall {
+    std::size_t gid = 0;  ///< the operation's number in the stream
+    std::size_t inv = 0;  ///< its invocation's action index
+    Symbol object;
+    Symbol method;
   };
 
   void fail(std::string reason);
-  /// fail() for a stream no explanation survives: empties the frontier.
-  void violation(std::string reason);
-  /// Drops frontier entries whose committed pending returns contradict the
-  /// responses that arrived since the previous window.
-  void apply_responses();
+  /// Records the decider's violation, found in `window`.
+  void violation(std::size_t window);
   void check_window();
-  /// Retires operations that completed and are fired in every entry.
-  void retire();
-  /// The active operation with global id `gid` (which must be active).
-  OpRecord& active_op(std::size_t gid);
+  /// Copies the decider's counters into the status.
+  void sync_counters();
 
-  const CaSpec& spec_;
   IncrementalOptions options_;
   IncrementalStatus status_;
-
-  /// The non-retired operations, ascending by global id: `active_ops_[i]`
-  /// has id `active_ids_[i]`, and a window search's local index is that
-  /// position. Retirement erases from both.
-  std::vector<std::size_t> active_ids_;
-  std::vector<OpRecord> active_ops_;
-  ThreadTable open_;  ///< tid → open op id; a response erases its tid
-  std::vector<std::size_t> newly_completed_;  ///< since the last window
+  ThreadTable open_;  ///< tid → slot in calls_; a response erases its tid
+  std::vector<OpenCall> calls_;
+  std::vector<std::size_t> free_calls_;  ///< reusable slots of calls_
   std::size_t buffered_ = 0;  ///< actions since the last window check
-  std::vector<FrontierEntry> frontier_;
+  std::unique_ptr<detail::StreamDecider> decider_;
 };
 
 }  // namespace cal::engine

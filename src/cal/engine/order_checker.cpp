@@ -620,29 +620,129 @@ std::optional<OrderCheckOutcome> order_check_queue(
 }
 
 // ===========================================================================
-// Exchanger and synchronous queue: one pairing sweep.
+// Exchanger and synchronous queue: online pairing.
+
+PairingMonitor::PairingMonitor(bool eager, bool keep_elements)
+    : eager_(eager), keep_(keep_elements) {}
+
+void PairingMonitor::reset(bool eager, bool keep_elements) {
+  eager_ = eager;
+  keep_ = keep_elements;
+  open_.clear();
+  owed_.clear();
+  elements_.clear();
+}
+
+void PairingMonitor::invoke(std::size_t record, const PairShape& pending,
+                            std::size_t at) {
+  if (pending.kind != PairShape::Kind::kPartner) return;
+  open_.push_back(Candidate{record, at, pending.offer});
+}
+
+bool PairingMonitor::covered(const PairShape::Key& key) const {
+  std::size_t j = 0;
+  for (const Owed& z : owed_) {
+    if (z.pending_want == key && z.candidates < ++j) return false;
+  }
+  return true;
+}
+
+bool PairingMonitor::respond(std::size_t record, const PairShape& completed,
+                             std::size_t inv, std::size_t at) {
+  using Kind = PairShape::Kind;
+  // A candidate that responds is no longer open for the owed operations
+  // that counted it (those responding after its invocation).
+  std::optional<PairShape::Key> left;
+  const auto candidate =
+      std::find_if(open_.begin(), open_.end(),
+                   [record](const Candidate& c) { return c.record == record; });
+  if (candidate != open_.end()) {
+    left = candidate->offer;
+    open_.erase(candidate);
+    for (Owed& z : owed_) {
+      if (z.pending_want == *left && z.res > inv) --z.candidates;
+    }
+  }
+  std::optional<PairShape::Key> added;
+  switch (completed.kind) {
+    case Kind::kReject:
+      return false;
+    case Kind::kAlone:
+      if (keep_) elements_.push_back(Element{record});
+      break;
+    case Kind::kPaired: {
+      // Pays the owed operation with the earliest response that it
+      // mirrors and that it was open at.
+      const auto payee = std::find_if(
+          owed_.begin(), owed_.end(), [&](const Owed& z) {
+            return z.offer == completed.want && z.want == completed.offer &&
+                   z.res > inv;
+          });
+      if (payee != owed_.end()) {
+        if (keep_) elements_[payee->slot].second = record;
+        owed_.erase(payee);
+        break;
+      }
+      Owed z{record, at, completed.offer, completed.want,
+             completed.pending_want, 0, elements_.size()};
+      if (keep_) elements_.push_back(Element{record});
+      if (eager_) {
+        z.candidates = static_cast<std::size_t>(std::count_if(
+            open_.begin(), open_.end(), [&](const Candidate& c) {
+              return c.offer == completed.pending_want;
+            }));
+      }
+      owed_.push_back(z);
+      added = completed.pending_want;
+      break;
+    }
+    default:
+      break;  // the adapters give a completed operation no other shape
+  }
+  if (!eager_) return true;
+  return (!left || covered(*left)) && (!added || covered(*added));
+}
+
+bool PairingMonitor::finish(bool complete_pending) {
+  if (owed_.empty()) return true;
+  if (!complete_pending) return false;
+  // Replays the batch sweep's pending list: candidates join it in
+  // invocation order, each owed operation (in response order) takes the
+  // first one of its key, and the last entry fills the gap. Any pending
+  // candidate serves every later owed operation of its key equally well,
+  // so the choice only fixes which witness is printed.
+  list_.clear();
+  std::size_t next = 0;
+  for (const Owed& z : owed_) {
+    while (next < open_.size() && open_[next].inv < z.res) {
+      list_.push_back(open_[next++]);
+    }
+    std::size_t p = 0;
+    while (p < list_.size() && !(list_[p].offer == z.pending_want)) ++p;
+    if (p == list_.size()) return false;
+    if (keep_) {
+      Element& e = elements_[z.slot];
+      e.second = list_[p].record;
+      e.partner = true;
+    }
+    list_[p] = list_.back();
+    list_.pop_back();
+  }
+  owed_.clear();
+  return true;
+}
 
 namespace {
 
 constexpr std::uint32_t kNoEvent = std::numeric_limits<std::uint32_t>::max();
 
-/// The pairing sweep's working buffers, leased per thread like
-/// OrderScratch. Candidates live in flat arrays scanned in full: both stay
-/// as small as the overlap width (a thread has at most one operation open
-/// and at most one pending), where a scan beats any keyed structure.
+/// order_check_pairing's working buffers, leased per thread like
+/// OrderScratch, so a warmed-up thread allocates only each check's output.
 struct PairingScratch {
-  std::vector<PairShape> shape;       ///< per record
-  std::vector<std::uint8_t> matched;  ///< per record: paired before its response
-  std::vector<std::uint32_t> at;      ///< per action: record << 1 | response
-  std::vector<std::uint32_t> open;    ///< invoked, unmatched kPaired records
-  std::vector<std::uint32_t> pending;  ///< invoked, unused kPartner records
+  std::vector<PairShape> shape;    ///< per record
+  std::vector<std::uint32_t> at;   ///< per action: record << 1 | response
+  PairingMonitor monitor{false, true};
 };
-
-/// Removes position `k` of `v` (order is irrelevant to the scans).
-void swap_remove(std::vector<std::uint32_t>& v, std::size_t k) {
-  v[k] = v.back();
-  v.pop_back();
-}
 
 }  // namespace
 
@@ -656,7 +756,6 @@ std::optional<OrderCheckOutcome> order_check_pairing(
 
   // --- classify; lay the events out by action index -----------------------
   s.shape.resize(ops.size());
-  s.matched.assign(ops.size(), 0);
   std::size_t n_actions = 0;
   for (std::size_t i = 0; i < ops.size(); ++i) {
     PairShape& sh = s.shape[i];
@@ -671,85 +770,44 @@ std::optional<OrderCheckOutcome> order_check_pairing(
     }
   }
   s.at.assign(n_actions, kNoEvent);
-  auto place = [&s](std::size_t at, std::uint32_t event) {
-    if (s.at[at] != kNoEvent) return false;
-    s.at[at] = event;
-    return true;
-  };
   for (std::size_t i = 0; i < ops.size(); ++i) {
+    // The whole history is known, so only the pending candidates need
+    // their invocation; only completed operations respond.
     const Kind kind = s.shape[i].kind;
-    const auto r = static_cast<std::uint32_t>(i << 1);
-    // Only candidates need their invocation; only completed operations
-    // fire at a response.
-    if ((kind == Kind::kPaired || kind == Kind::kPartner) &&
-        !place(ops[i].inv_index, r)) {
-      return std::nullopt;
-    }
-    if ((kind == Kind::kPaired || kind == Kind::kAlone) &&
-        !place(*ops[i].res_index, r | 1)) {
-      return std::nullopt;
-    }
+    const std::size_t at = kind == Kind::kPartner ? ops[i].inv_index
+                           : kind == Kind::kPaired || kind == Kind::kAlone
+                               ? *ops[i].res_index
+                               : n_actions;
+    if (at == n_actions) continue;
+    if (s.at[at] != kNoEvent) return std::nullopt;
+    s.at[at] = static_cast<std::uint32_t>(i << 1 | (kind == Kind::kPartner
+                                                        ? 0u
+                                                        : 1u));
   }
 
-  // --- the sweep -------------------------------------------------------------
-  s.open.clear();
-  s.pending.clear();
-  out.linearization.reserve(ops.size());
-  auto fire = [&](std::size_t i, Value ret, bool joins) {
-    out.linearization.push_back(LinearizedOp{i, std::move(ret), joins});
-  };
-  for (const std::uint32_t e : s.at) {
+  // --- the monitor, action by action ---------------------------------------
+  PairingMonitor& m = s.monitor;
+  m.reset(/*eager=*/false, /*keep_elements=*/true);
+  for (std::size_t a = 0; a < n_actions; ++a) {
+    const std::uint32_t e = s.at[a];
     if (e == kNoEvent) continue;
-    const std::size_t x = e >> 1;
-    const PairShape& sx = s.shape[x];
+    const std::size_t i = e >> 1;
     if ((e & 1) == 0) {
-      (sx.kind == Kind::kPaired ? s.open : s.pending)
-          .push_back(static_cast<std::uint32_t>(x));
-      continue;
-    }
-    if (sx.kind == Kind::kAlone) {
-      fire(x, *ops[x].op.ret, false);
-      continue;
-    }
-    if (s.matched[x] != 0) continue;
-    // x leaves the open set; its partner is the open mirror that responds
-    // first.
-    std::size_t self = kNone;
-    std::size_t best = kNone;
-    for (std::size_t k = 0; k < s.open.size(); ++k) {
-      const std::uint32_t y = s.open[k];
-      if (y == x) {
-        self = k;
-      } else if (s.shape[y].offer == sx.want && s.shape[y].want == sx.offer &&
-                 (best == kNone ||
-                  *ops[y].res_index < *ops[s.open[best]].res_index)) {
-        best = k;
-      }
-    }
-    if (best != kNone) {
-      const std::uint32_t y = s.open[best];
-      s.matched[y] = 1;
-      swap_remove(s.open, std::max(self, best));
-      swap_remove(s.open, std::min(self, best));
-      fire(x, *ops[x].op.ret, false);
-      fire(y, *ops[y].op.ret, true);
-      continue;
-    }
-    swap_remove(s.open, self);
-    // No completed partner: any invoked pending one of the mirrored
-    // argument serves every later operation equally well.
-    std::size_t p = 0;
-    while (p < s.pending.size() &&
-           !(s.shape[s.pending[p]].offer == sx.pending_want)) {
-      ++p;
-    }
-    if (p == s.pending.size()) {
-      out.linearization.clear();
+      m.invoke(i, s.shape[i], a);
+    } else if (!m.respond(i, s.shape[i], ops[i].inv_index, a)) {
       return out;
     }
-    fire(x, *ops[x].op.ret, false);
-    fire(s.pending[p], shapes.partner_return(ops[x].op), true);
-    swap_remove(s.pending, p);
+  }
+  if (!m.finish(complete_pending)) return out;
+  out.linearization.reserve(ops.size());
+  for (const PairingMonitor::Element& e : m.elements()) {
+    const Operation& first = ops[e.first].op;
+    out.linearization.push_back(LinearizedOp{e.first, *first.ret, false});
+    if (e.second == PairingMonitor::kNoRecord) continue;
+    out.linearization.push_back(LinearizedOp{
+        e.second,
+        e.partner ? shapes.partner_return(first) : *ops[e.second].op.ret,
+        true});
   }
   out.ok = true;
   return out;

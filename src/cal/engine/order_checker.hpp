@@ -68,28 +68,44 @@
 // or removed before its insert is invoked) are found by sorting first.
 // The sweep is O(n log n). DESIGN.md gives each rule's proof.
 //
-// ## Exchanger and synchronous queue: pairing
+// ## Exchanger and synchronous queue: online pairing
 //
 // Both CA-specs are stateless: every element is a value-matched pair of
 // overlapping operations or a lone failure (§4, Fig. 3). So a history is
 // CAL iff its completed successful operations can be matched into
 // mirrored pairs whose intervals overlap — a pending invocation of the
 // mirrored argument may stand in as a partner under complete_pending —
-// and every other completed operation is an admissible failure. One sweep
-// over the actions decides it. At the response of a completed successful
-// operation x that is still unmatched, x pairs with the open (invoked, not
-// yet responded), unmatched, completed operation of the mirrored shape
-// that responds first; failing that, under complete_pending, with any
-// invoked pending invocation of the mirrored argument; failing that, the
-// history is rejected. Failures and timeouts are singletons at their
-// response. Two exchange arguments make the greedy choice complete: a
-// completed partner dominates a pending one, and among completed partners
-// the earliest deadline dominates later ones. Each pair's operations are
-// both open just before x's response, so the elements in sweep order are
-// a witness. The per-spec PairingShapes adapter says which operations
-// pair (their offer and wanted keys) and which are failures; the sweep
-// never declines on a history's records and costs O(n · w) for overlap
-// width w.
+// and every other completed operation is an admissible failure.
+// PairingMonitor decides it online, one action at a time, for a stream
+// (IncrementalChecker) and for a whole history (order_check_pairing feeds
+// it the history's actions in order) alike:
+//
+//   * a completed success that responds unmatched becomes *owed*; its
+//     candidates are the operations open at its response whose pending
+//     shape could partner it (PairShape::pending_want);
+//   * a completed success y that responds pays the owed operation with the
+//     earliest response among those it mirrors and overlaps; if it can pay
+//     none, it becomes owed itself;
+//   * failures and timeouts are singletons at their response;
+//   * an owed operation is a violation as soon as the owed operations of
+//     its pending key outnumber their still-open candidates (Hall's
+//     condition; the candidate sets of one key are nested), so a stream
+//     hears of a violation at the response that causes it;
+//   * at the end, under complete_pending, owed operations take still-open
+//     (pending) candidates in response order; otherwise each is a
+//     violation.
+//
+// This is the batch sweep's greedy choice — at the response of an
+// unmatched x, pair x with the open mirror that responds first, else with
+// a pending one — made at the partner's response instead of x's: the
+// matchings are equal (DESIGN.md § "Online pairing" restates the sweep's
+// two exchange arguments: a completed partner dominates a pending one,
+// and among completed partners the earliest deadline dominates). A pair's
+// point is just before its first response and a singleton's is its
+// response, so the elements in point order are a witness. The per-spec
+// PairingShapes adapter says which operations pair (their offer and
+// wanted keys) and which are failures; the monitor never declines and
+// costs O(n · w) for overlap width w.
 #pragma once
 
 #include <cstdint>
@@ -159,8 +175,10 @@ struct PairShape {
   /// iff y.offer == x.want and y.want == x.offer.
   Key want;
   /// kPaired: the offer of a pending partner. Operations with equal offer
-  /// and want must have equal pending_want (the sweep's exchange argument
-  /// swaps partners between them).
+  /// and want must have equal pending_want (the exchange argument swaps
+  /// partners between them), and a completed operation mirrored to x must
+  /// have, in its pending shape, the offer x.pending_want (so the monitor's
+  /// candidates of x include every operation that could pay it).
   Key pending_want;
 };
 
@@ -178,11 +196,94 @@ class PairingShapes {
   [[nodiscard]] virtual Value partner_return(const Operation& x) const = 0;
 };
 
+/// The pairing decision in online form (see "Exchanger and synchronous
+/// queue" above). Records are the caller's operation ids; the monitor
+/// keeps only the open candidates and the owed operations, plus, when it
+/// keeps elements, one compact entry per decided element.
+class PairingMonitor {
+ public:
+  static constexpr std::size_t kNoRecord = static_cast<std::size_t>(-1);
+
+  /// One decided CA-element: `first` alone, or `first` paired with
+  /// `second`. A `partner` second half is a pending invocation completed by
+  /// PairingShapes::partner_return of `first`.
+  struct Element {
+    std::size_t first = 0;
+    std::size_t second = kNoRecord;
+    bool partner = false;
+  };
+
+  /// `eager`: respond() fails as soon as the actions so far have no
+  /// explanation, which a stream needs; every open operation's invocation
+  /// must then be fed. Off, only pending candidates need an invocation
+  /// (what one pass over a whole history knows), and an unpaid operation
+  /// fails at finish(). `keep_elements`: keep the decided elements.
+  PairingMonitor(bool eager, bool keep_elements);
+
+  /// Forgets everything (keeping the buffers) for a new history.
+  void reset(bool eager, bool keep_elements);
+
+  /// The invocation of `record` at action `at`, with its pending shape: a
+  /// kPartner is a candidate partner until it responds; other shapes are
+  /// ignored.
+  void invoke(std::size_t record, const PairShape& pending, std::size_t at);
+
+  /// The response of `record`, invoked at action `inv`, at action `at`,
+  /// with its completed shape. False when the shape is kReject or, when
+  /// eager, when the actions so far have no explanation.
+  bool respond(std::size_t record, const PairShape& completed,
+               std::size_t inv, std::size_t at);
+
+  /// Ends the history. Under `complete_pending` each owed operation, in
+  /// response order, takes a still-open candidate of its pending key (the
+  /// first one in the batch sweep's own pending list, so both pick the same
+  /// partner); otherwise any owed operation fails. False on a violation.
+  bool finish(bool complete_pending);
+
+  /// The decided elements in point order (with keep_elements): complete
+  /// after a successful finish(); before it an owed operation's element
+  /// still lacks its second half.
+  [[nodiscard]] const std::vector<Element>& elements() const noexcept {
+    return elements_;
+  }
+  /// Completed successes still waiting for a partner.
+  [[nodiscard]] std::size_t owed() const noexcept { return owed_.size(); }
+
+ private:
+  struct Candidate {
+    std::size_t record = 0;
+    std::size_t inv = 0;
+    PairShape::Key offer;
+  };
+  struct Owed {
+    std::size_t record = 0;
+    std::size_t res = 0;
+    PairShape::Key offer;
+    PairShape::Key want;
+    PairShape::Key pending_want;
+    /// Open candidates of pending_want invoked before `res` (eager only).
+    std::size_t candidates = 0;
+    /// Its element, when kept.
+    std::size_t slot = 0;
+  };
+
+  /// Hall's condition on the owed operations of pending key `key`: the
+  /// j-th of them (by response) has at least j open candidates.
+  [[nodiscard]] bool covered(const PairShape::Key& key) const;
+
+  bool eager_;
+  bool keep_;
+  std::vector<Candidate> open_;  ///< ascending invocation
+  std::vector<Owed> owed_;       ///< ascending response
+  std::vector<Element> elements_;
+  std::vector<Candidate> list_;  ///< finish()'s replay of the sweep's list
+};
+
 /// Decides CAL membership of `ops` against a stateless pairing CA-spec
-/// described by `shapes` (see "Exchanger and synchronous queue" above).
-/// With `complete_pending` false every pending invocation is dropped.
-/// Never declines on a history's records; it returns nullopt only when
-/// two records claim one action index, which no history's do.
+/// described by `shapes`, by feeding the history's actions through a
+/// PairingMonitor. With `complete_pending` false every pending invocation
+/// is dropped. Never declines on a history's records; it returns nullopt
+/// only when two records claim one action index, which no history's do.
 [[nodiscard]] std::optional<OrderCheckOutcome> order_check_pairing(
     const std::vector<OpRecord>& ops, const PairingShapes& shapes,
     bool complete_pending);

@@ -15,6 +15,8 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "cal/ca_trace.hpp"
@@ -23,6 +25,10 @@
 #include "cal/symbol.hpp"
 
 namespace cal {
+
+namespace engine {
+class PairingShapes;
+}  // namespace engine
 
 /// Opaque, hashable abstract-state encoding.
 using SpecState = std::vector<std::int64_t>;
@@ -92,6 +98,9 @@ struct OrderCheckOutcome {
 /// abstract states, and what they do to the state.
 class CaSpec {
  public:
+  /// One object's spec inside a spec of several disjoint objects.
+  using Part = std::pair<Symbol, std::shared_ptr<const CaSpec>>;
+
   virtual ~CaSpec() = default;
 
   [[nodiscard]] virtual SpecState initial() const = 0;
@@ -158,6 +167,24 @@ class CaSpec {
     (void)ops;
     (void)complete_pending;
     return std::nullopt;
+  }
+
+  /// The per-object specs this spec is the disjoint union of, in
+  /// registration order (the first entry of an object governs it). Empty
+  /// for a spec of one object, the default; UnionCaSpec returns its
+  /// entries, and a part may itself have parts. CAL is local (DESIGN.md
+  /// § "Locality"): a history is a member iff each object's sub-history is
+  /// a member for its part and no completed operation is on an object
+  /// without one. So the checkers decide a spec with parts one object at
+  /// a time, each object on its own path, when order_check is on.
+  [[nodiscard]] virtual std::span<const Part> parts() const { return {}; }
+
+  /// The stateless pairing shapes behind order_check, for specs decided by
+  /// engine::order_check_pairing (the exchanger and the synchronous
+  /// queue); null otherwise. IncrementalChecker runs them online
+  /// (engine::PairingMonitor) instead of window searches.
+  [[nodiscard]] virtual const engine::PairingShapes* pairing() const {
+    return nullptr;
   }
 };
 

@@ -140,10 +140,14 @@ class ExchangerShapes final : public engine::PairingShapes {
 
 }  // namespace
 
+ExchangerSpec::ExchangerSpec(Symbol object, Symbol method)
+    : object_(object),
+      method_(method),
+      shapes_(std::make_shared<ExchangerShapes>(object, method)) {}
+
 std::optional<OrderCheckOutcome> ExchangerSpec::order_check(
     const std::vector<OpRecord>& ops, bool complete_pending) const {
-  return engine::order_check_pairing(ops, ExchangerShapes(object_, method_),
-                                     complete_pending);
+  return engine::order_check_pairing(ops, *shapes_, complete_pending);
 }
 
 }  // namespace cal

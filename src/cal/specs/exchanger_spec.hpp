@@ -13,6 +13,8 @@
 // successful exchange.
 #pragma once
 
+#include <memory>
+
 #include "cal/spec.hpp"
 
 namespace cal {
@@ -21,8 +23,7 @@ class ExchangerSpec final : public CaSpec {
  public:
   /// Governs `object`, whose exchange method is named `method`.
   /// The same shape specifies rendezvous objects under another method name.
-  explicit ExchangerSpec(Symbol object, Symbol method = Symbol("exchange"))
-      : object_(object), method_(method) {}
+  explicit ExchangerSpec(Symbol object, Symbol method = Symbol("exchange"));
 
   [[nodiscard]] SpecState initial() const override { return {}; }
   [[nodiscard]] std::size_t max_element_size() const override { return 2; }
@@ -52,12 +53,19 @@ class ExchangerSpec final : public CaSpec {
       const std::vector<OpRecord>& ops,
       bool complete_pending) const override;
 
+  /// ex(a) ▷ (true,b) offers a and wants b; a pending ex(c) can stand in
+  /// for any partner wanting c; failures are singletons.
+  [[nodiscard]] const engine::PairingShapes* pairing() const override {
+    return shapes_.get();
+  }
+
   [[nodiscard]] Symbol object() const noexcept { return object_; }
   [[nodiscard]] Symbol method() const noexcept { return method_; }
 
  private:
   Symbol object_;
   Symbol method_;
+  std::shared_ptr<const engine::PairingShapes> shapes_;
 };
 
 }  // namespace cal

@@ -166,10 +166,12 @@ class SyncQueueShapes final : public engine::PairingShapes {
 
 }  // namespace
 
+SyncQueueSpec::SyncQueueSpec(Symbol object)
+    : object_(object), shapes_(std::make_shared<SyncQueueShapes>(object)) {}
+
 std::optional<OrderCheckOutcome> SyncQueueSpec::order_check(
     const std::vector<OpRecord>& ops, bool complete_pending) const {
-  return engine::order_check_pairing(ops, SyncQueueShapes(object_),
-                                     complete_pending);
+  return engine::order_check_pairing(ops, *shapes_, complete_pending);
 }
 
 namespace {

@@ -18,6 +18,8 @@
 // show both specifications accept the same concrete histories.
 #pragma once
 
+#include <memory>
+
 #include "cal/interval_lin.hpp"
 #include "cal/spec.hpp"
 
@@ -25,7 +27,7 @@ namespace cal {
 
 class SyncQueueSpec final : public CaSpec {
  public:
-  explicit SyncQueueSpec(Symbol object) : object_(object) {}
+  explicit SyncQueueSpec(Symbol object);
 
   [[nodiscard]] SpecState initial() const override { return {}; }
   [[nodiscard]] std::size_t max_element_size() const override { return 2; }
@@ -46,8 +48,16 @@ class SyncQueueSpec final : public CaSpec {
       const std::vector<OpRecord>& ops,
       bool complete_pending) const override;
 
+  /// put(v) ▷ true and take() ▷ (true,v) pair; a pending put(v) can stand
+  /// in for a take that got v, a pending take for any put; timeouts are
+  /// singletons.
+  [[nodiscard]] const engine::PairingShapes* pairing() const override {
+    return shapes_.get();
+  }
+
  private:
   Symbol object_;
+  std::shared_ptr<const engine::PairingShapes> shapes_;
 };
 
 class SyncQueueIntervalSpec final : public IntervalSpec {

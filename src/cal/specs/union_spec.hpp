@@ -9,17 +9,20 @@
 // executable face of the paper's encapsulation assumption.
 #pragma once
 
+#include <cstddef>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
+#include "cal/ca_trace.hpp"
 #include "cal/spec.hpp"
 
 namespace cal {
 
 class UnionCaSpec final : public CaSpec {
  public:
-  using Entry = std::pair<Symbol, std::shared_ptr<const CaSpec>>;
+  using Entry = Part;
 
   explicit UnionCaSpec(std::vector<Entry> specs) : specs_(std::move(specs)) {}
 
@@ -33,6 +36,11 @@ class UnionCaSpec final : public CaSpec {
   /// unregistered objects admit nothing.
   [[nodiscard]] bool compatible(
       Symbol object, const std::vector<Operation>& ops) const override;
+  /// The registered (object, spec) entries: the checkers decide a union
+  /// object by object when order_check is on (DESIGN.md § "Locality").
+  [[nodiscard]] std::span<const Part> parts() const override {
+    return specs_;
+  }
 
  private:
   /// Splits the product state into the i-th sub-state (by length prefix).
@@ -44,5 +52,24 @@ class UnionCaSpec final : public CaSpec {
 
   std::vector<Entry> specs_;
 };
+
+/// One part's witness, as merge_part_witnesses reads it: the elements in
+/// the part's order, and the thread and invocation index (on the whole
+/// history's action line) of each of the part's operations, in invocation
+/// order.
+struct PartWitness {
+  std::vector<CaElement> elements;
+  std::span<const std::pair<ThreadId, std::size_t>> invocations;
+};
+
+/// One witness of a history over disjoint objects from one witness per
+/// part (DESIGN.md § "Locality"). Walking each part in order, element Eᵢ
+/// gets the point max(p(Eᵢ₋₁), the latest invocation among its
+/// operations); the elements of all parts are then sorted by point,
+/// stably. A thread's operations appear in any witness in program order,
+/// so the k-th operation of thread t in a part's elements is t's k-th
+/// invocation on it. The elements are moved, not copied.
+[[nodiscard]] std::vector<CaElement> merge_part_witnesses(
+    std::vector<PartWitness> parts);
 
 }  // namespace cal

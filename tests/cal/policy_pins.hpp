@@ -113,6 +113,7 @@ inline std::vector<std::string> incremental_pin_lines() {
         engine::IncrementalOptions opts;
         opts.window = window;
         opts.exact_visited = exact;
+        opts.order_check = false;  // the pins are the engine windows'
         engine::IncrementalChecker inc(*spec, opts);
         inc.push(h);
         inc.finish();

@@ -29,6 +29,7 @@
 #include "cal/specs/queue_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
 #include "cal/specs/sync_queue_spec.hpp"
+#include "corpus.hpp"
 
 namespace cal {
 namespace {
@@ -195,23 +196,6 @@ History mutate(std::mt19937& rng, const Collection& c, const History& h) {
   return History(std::move(a));
 }
 
-/// Drops up to `n` responses that end their thread's last operation,
-/// latest first, leaving those operations pending.
-History drop_responses(const History& h, std::size_t n) {
-  std::vector<Action> a = h.actions();
-  std::vector<ThreadId> seen;  // threads with a later action
-  for (std::size_t i = a.size(); i-- > 0 && n > 0;) {
-    const ThreadId t = a[i].tid;
-    if (std::find(seen.begin(), seen.end(), t) != seen.end()) continue;
-    seen.push_back(t);
-    if (a[i].is_respond()) {
-      a.erase(a.begin() + static_cast<std::ptrdiff_t>(i));
-      --n;
-    }
-  }
-  return History(std::move(a));
-}
-
 /// Adds one operation the spec never steps — another object's, or an
 /// unknown method — completed or pending.
 History add_foreign(std::mt19937& rng, const History& h) {
@@ -299,40 +283,6 @@ History corpus_history(std::mt19937& rng, const Collection& c,
 // ---------------------------------------------------------------------------
 // The oracle.
 
-/// The completion of `h` the witness chose (Def. 2). A thread's pending
-/// operation is its last, so it fired iff the witness holds more of the
-/// thread's operations than the thread completed; it then responds at the
-/// end with the witness's return, and otherwise its invocation is dropped.
-History completion(const History& h, const std::vector<Operation>& witness) {
-  const std::vector<OpRecord> ops = h.operations();
-  std::vector<bool> keep(h.size(), true);
-  std::vector<Action> fired;
-  for (const OpRecord& r : ops) {
-    if (!r.is_pending()) continue;
-    const ThreadId t = r.op.tid;
-    std::size_t completed = 0;
-    for (const OpRecord& q : ops) completed += q.op.tid == t && !q.is_pending();
-    std::size_t in_witness = 0;
-    const Operation* last = nullptr;
-    for (const Operation& op : witness) {
-      if (op.tid != t) continue;
-      ++in_witness;
-      last = &op;
-    }
-    if (in_witness > completed) {
-      fired.push_back(Action::respond(t, r.op.object, r.op.method, *last->ret));
-    } else {
-      keep[r.inv_index] = false;
-    }
-  }
-  std::vector<Action> out;
-  for (std::size_t k = 0; k < h.size(); ++k) {
-    if (keep[k]) out.push_back(h[k]);
-  }
-  out.insert(out.end(), fired.begin(), fired.end());
-  return History(std::move(out));
-}
-
 std::vector<Operation> ops_of(const CaTrace& t) {
   std::vector<Operation> out;
   for (const CaElement& e : t.elements()) {
@@ -346,17 +296,6 @@ CaTrace singletons(const std::vector<Operation>& ops) {
   CaTrace t;
   for (const Operation& op : ops) t.append(CaElement::singleton(op.object, op));
   return t;
-}
-
-/// A witness must be in the trace-set and agree with the history's
-/// completion. Returns the reason when it is not.
-std::string witness_fault(const History& h, const CaTrace& w,
-                          const CaSpec& spec) {
-  const ReplayResult replay = replay_ca(w, spec);
-  if (!replay.ok) return "does not replay: " + replay.reason;
-  const AgreeResult agree = agrees_with(completion(h, w.all_ops()), w);
-  if (!agree.agrees) return "does not agree: " + agree.reason;
-  return {};
 }
 
 struct Tally {
@@ -680,137 +619,6 @@ TEST(CollectionOrder, StepsTheSpecNeverTakesReject) {
 
 const Symbol kE{"E"};
 const Symbol kY{"Y"};
-
-/// One pairing spec under test, with what its generator needs.
-struct PairingCase {
-  const char* name;
-  bool sync_queue;  ///< put/take on kY; otherwise exchanges on kE
-  Symbol method;    ///< the exchange method (unused by the sync queue)
-  unsigned seed;
-};
-
-/// Names the case in test listings (the default prints its raw bytes).
-void PrintTo(const PairingCase& pc, std::ostream* os) { *os << pc.name; }
-
-/// A member-by-construction run with real overlap: each thread's next
-/// operation moves through invoke → resolve → respond, and the scheduler
-/// interleaves those micro-steps at random. Resolving pairs the thread with
-/// another invoked, unresolved thread of the mirrored kind (both succeed
-/// with each other's values) or resolves it alone as a failure or timeout.
-/// Values come from a pool of `values` distinct ones, so matches are
-/// ambiguous.
-History pairing_run(std::mt19937& rng, const PairingCase& pc,
-                    std::size_t threads, std::size_t ops_per_thread,
-                    std::int64_t values) {
-  struct ThreadState {
-    std::size_t done = 0;
-    int phase = 0;  // 0 idle, 1 invoked, 2 resolved
-    bool put = false;
-    std::int64_t value = 0;
-    Value ret;
-  };
-  const Symbol put{"put"};
-  const Symbol take{"take"};
-  History h;
-  std::vector<ThreadState> ts(threads);
-  std::vector<std::size_t> runnable;
-  std::vector<std::size_t> partners;
-  for (;;) {
-    runnable.clear();
-    for (std::size_t i = 0; i < threads; ++i) {
-      if (ts[i].done < ops_per_thread || ts[i].phase != 0) {
-        runnable.push_back(i);
-      }
-    }
-    if (runnable.empty()) break;
-    const std::size_t me = runnable[rng() % runnable.size()];
-    ThreadState& t = ts[me];
-    const auto tid = static_cast<ThreadId>(me + 1);
-    const Symbol method = pc.sync_queue ? (t.put ? put : take) : pc.method;
-    if (t.phase == 0) {
-      t.put = rng() % 2 == 0;
-      t.value = 1 + static_cast<std::int64_t>(rng() % values);
-      if (!pc.sync_queue) {
-        h.invoke(tid, kE, pc.method, iv(t.value));
-      } else if (t.put) {
-        h.invoke(tid, kY, put, iv(t.value));
-      } else {
-        h.invoke(tid, kY, take);
-      }
-      t.phase = 1;
-    } else if (t.phase == 1) {
-      partners.clear();
-      for (std::size_t u = 0; u < threads; ++u) {
-        if (u != me && ts[u].phase == 1 &&
-            (!pc.sync_queue || ts[u].put != t.put)) {
-          partners.push_back(u);
-        }
-      }
-      if (!partners.empty() && rng() % 10 < 7) {
-        ThreadState& u = ts[partners[rng() % partners.size()]];
-        if (!pc.sync_queue) {
-          t.ret = got(u.value);
-          u.ret = got(t.value);
-        } else {
-          ThreadState& p = t.put ? t : u;
-          ThreadState& q = t.put ? u : t;
-          p.ret = kTrue;
-          q.ret = got(p.value);
-        }
-        u.phase = 2;
-      } else if (!pc.sync_queue) {
-        t.ret = Value::pair(false, t.value);
-      } else {
-        t.ret = t.put ? Value::boolean(false) : kEmpty;
-      }
-      t.phase = 2;
-    } else {
-      h.respond(tid, pc.sync_queue ? kY : kE, method, t.ret);
-      t.phase = 0;
-      ++t.done;
-    }
-  }
-  return h;
-}
-
-/// A return a response of `method` could plausibly carry: right or wrong
-/// kind of success or failure, with a value from the pool or outside it.
-Value random_return(std::mt19937& rng, Symbol method) {
-  const auto v = static_cast<std::int64_t>(rng() % 6);
-  if (method == Symbol{"put"}) return Value::boolean(rng() % 2 == 0);
-  return Value::pair(rng() % 2 == 0, v);
-}
-
-/// One random edit: rewrite a return, swap the returns of two responses of
-/// one method, or move a response (narrowing or widening an interval; the
-/// caller drops the result if it is no longer well-formed).
-History mutate_pairing(std::mt19937& rng, const History& h) {
-  std::vector<Action> a = h.actions();
-  std::vector<std::size_t> resp;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    if (a[i].is_respond()) resp.push_back(i);
-  }
-  if (resp.empty()) return h;
-  const std::size_t x = resp[rng() % resp.size()];
-  switch (rng() % 3) {
-    case 0:
-      a[x].payload = random_return(rng, a[x].method);
-      break;
-    case 1: {
-      const std::size_t y = resp[rng() % resp.size()];
-      if (a[x].method == a[y].method) std::swap(a[x].payload, a[y].payload);
-      break;
-    }
-    default: {
-      Action moved = a[x];
-      a.erase(a.begin() + static_cast<std::ptrdiff_t>(x));
-      const std::size_t to = rng() % (a.size() + 1);
-      a.insert(a.begin() + static_cast<std::ptrdiff_t>(to), std::move(moved));
-      break;
-    }
-  }
-  return History(std::move(a));
-}
 
 struct PairingTally {
   std::size_t checks = 0;

@@ -8,11 +8,15 @@
 // latency (within the window containing the bad response), frontier
 // compaction (retirement) on long runs, state bounded by the active set on
 // streams of tens of thousands of operations, and live streaming from a
-// runtime::Recorder cursor while worker threads are still recording.
+// runtime::Recorder cursor while worker threads are still recording. The
+// order paths — the online pairing monitor and the union split by object —
+// must give the batch verdict too, and never report a violation later than
+// the engine windows (order_check = false), which serve as their oracle.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <deque>
 #include <memory>
 #include <optional>
 #include <random>
@@ -28,6 +32,8 @@
 #include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/queue_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
+#include "cal/specs/sync_queue_spec.hpp"
+#include "cal/specs/union_spec.hpp"
 #include "corpus.hpp"
 #include "policy_pins.hpp"
 #include "objects/exchanger.hpp"
@@ -39,6 +45,7 @@ namespace {
 
 using engine::IncrementalChecker;
 using engine::IncrementalOptions;
+using engine::IncrementalStatus;
 using engine::WitnessSegment;
 
 const Symbol kE{"E"};
@@ -57,35 +64,39 @@ void expect_incremental_matches_batch(const CaSpec& spec, const History& h,
   CalCheckOptions batch_opts;
   batch_opts.complete_pending = complete_pending;
   const CalCheckResult batch = CalChecker(spec, batch_opts).check(h);
-  for (std::size_t window : kWindowGrid) {
-    IncrementalOptions opts;
-    opts.window = window;
-    opts.complete_pending = complete_pending;
-    IncrementalChecker inc(spec, opts);
-    inc.push(h);
-    inc.finish();
-    ASSERT_EQ(inc.ok(), batch.ok)
-        << "window=" << window << " reason=" << inc.status().reason << "\n"
-        << h.to_string();
-    EXPECT_TRUE(inc.status().finished);
-    if (inc.ok()) {
-      // An accepting stream consumed everything; a rejecting one stops at
-      // the violation and ignores the rest by design.
-      EXPECT_EQ(inc.status().actions_consumed, h.actions().size());
-      const std::optional<CaTrace> w = inc.witness();
-      ASSERT_TRUE(w.has_value()) << "window=" << window;
-      const ReplayResult replayed = replay_ca(*w, spec);
-      EXPECT_TRUE(replayed.ok)
-          << "window=" << window << ": " << replayed.reason;
-      if (h.complete()) {
-        const AgreeResult a = agrees_with(h, *w);
-        EXPECT_TRUE(a.agrees) << "window=" << window << ": " << a.reason
-                              << "\n"
-                              << h.to_string() << w->to_string();
+  for (bool order_check : {true, false}) {
+    for (std::size_t window : kWindowGrid) {
+      IncrementalOptions opts;
+      opts.window = window;
+      opts.complete_pending = complete_pending;
+      opts.order_check = order_check;
+      IncrementalChecker inc(spec, opts);
+      inc.push(h);
+      inc.finish();
+      const std::string where = "window=" + std::to_string(window) +
+                                " order_check=" +
+                                (order_check ? "1" : "0");
+      ASSERT_EQ(inc.ok(), batch.ok)
+          << where << " reason=" << inc.status().reason << "\n"
+          << h.to_string();
+      EXPECT_TRUE(inc.status().finished);
+      if (inc.ok()) {
+        // An accepting stream consumed everything; a rejecting one stops
+        // at the violation and ignores the rest by design.
+        EXPECT_EQ(inc.status().actions_consumed, h.actions().size());
+        const std::optional<CaTrace> w = inc.witness();
+        ASSERT_TRUE(w.has_value()) << where;
+        const ReplayResult replayed = replay_ca(*w, spec);
+        EXPECT_TRUE(replayed.ok) << where << ": " << replayed.reason;
+        if (h.complete()) {
+          const AgreeResult a = agrees_with(h, *w);
+          EXPECT_TRUE(a.agrees) << where << ": " << a.reason << "\n"
+                                << h.to_string() << w->to_string();
+        }
+      } else {
+        EXPECT_GT(inc.status().violation_window, 0u);
+        EXPECT_FALSE(inc.status().reason.empty());
       }
-    } else {
-      EXPECT_GT(inc.status().violation_window, 0u);
-      EXPECT_FALSE(inc.status().reason.empty());
     }
   }
 }
@@ -234,34 +245,37 @@ TEST(IncrementalLatency, ViolationDetectedWithinOneWindow) {
     }
     ASSERT_LT(corrupt_idx, actions.size());
 
-    IncrementalOptions opts;
-    opts.window = kWindow;
-    IncrementalChecker inc(spec, opts);
-    std::size_t flip_at = 0;  // actions consumed when ok() first went false
-    for (std::size_t i = 0; i < actions.size(); ++i) {
-      inc.push(actions[i]);
-      if (!inc.ok()) {
-        flip_at = i + 1;
-        break;
+    for (bool order_check : {true, false}) {
+      IncrementalOptions opts;
+      opts.window = kWindow;
+      opts.order_check = order_check;
+      IncrementalChecker inc(spec, opts);
+      std::size_t flip_at = 0;  // actions consumed when ok() first went false
+      for (std::size_t i = 0; i < actions.size(); ++i) {
+        inc.push(actions[i]);
+        if (!inc.ok()) {
+          flip_at = i + 1;
+          break;
+        }
       }
+      // The first window boundary at or after the corrupted response.
+      const std::size_t boundary = ((corrupt_idx / kWindow) + 1) * kWindow;
+      if (flip_at == 0) {
+        // Stream ended before that boundary; finish() must still catch it.
+        ASSERT_GT(boundary, actions.size());
+        inc.finish();
+        EXPECT_FALSE(inc.ok());
+      } else {
+        EXPECT_LE(flip_at, boundary) << "seed=" << seed;
+        EXPECT_GT(flip_at, corrupt_idx)
+            << "seed=" << seed << ": flagged before the bad response";
+      }
+      EXPECT_GT(inc.status().violation_window, 0u);
+      // Once failed, further pushes are ignored.
+      const std::size_t consumed = inc.status().actions_consumed;
+      inc.push(Action::invoke(99, kE, kEx, iv(1)));
+      EXPECT_EQ(inc.status().actions_consumed, consumed);
     }
-    // The first window boundary at or after the corrupted response.
-    const std::size_t boundary = ((corrupt_idx / kWindow) + 1) * kWindow;
-    if (flip_at == 0) {
-      // Stream ended before that boundary; finish() must still catch it.
-      ASSERT_GT(boundary, actions.size());
-      inc.finish();
-      EXPECT_FALSE(inc.ok());
-    } else {
-      EXPECT_LE(flip_at, boundary) << "seed=" << seed;
-      EXPECT_GT(flip_at, corrupt_idx) << "seed=" << seed
-                                      << ": flagged before the bad response";
-    }
-    EXPECT_GT(inc.status().violation_window, 0u);
-    // Once failed, further pushes are ignored.
-    const std::size_t consumed = inc.status().actions_consumed;
-    inc.push(Action::invoke(99, kE, kEx, iv(1)));
-    EXPECT_EQ(inc.status().actions_consumed, consumed);
   }
   ASSERT_GT(runs_with_violation, 0u);
 }
@@ -277,6 +291,7 @@ TEST(IncrementalStatusCounters, WindowAndOperationCounts) {
   constexpr std::size_t kWindow = 5;
   IncrementalOptions opts;
   opts.window = kWindow;
+  opts.order_check = false;  // visited_states counts the engine windows
   IncrementalChecker inc(spec, opts);
   inc.push(h);
   EXPECT_EQ(inc.status().windows_checked, n / kWindow);
@@ -304,6 +319,7 @@ TEST(IncrementalCompaction, LongRunRetiresDecidedOperations) {
   const History h = b.history();
   IncrementalOptions opts;
   opts.window = 8;
+  opts.order_check = false;  // retirement is the engine windows'
   IncrementalChecker inc(spec, opts);
   inc.push(h);
   inc.finish();
@@ -390,6 +406,7 @@ TEST(IncrementalCompaction, LongStreamStateStaysBounded) {
   for (std::size_t window : {std::size_t{1}, std::size_t{16}}) {
     IncrementalOptions opts;
     opts.window = window;
+    opts.order_check = false;  // retirement is the engine windows'
     IncrementalChecker inc(spec, opts);
     std::size_t windows = 0;
     std::size_t worst_active = 0;
@@ -480,6 +497,7 @@ TEST(IncrementalViolation, ContradictedGuessEmptiesFrontier) {
   ExchangerSpec spec(kE, kEx);
   IncrementalOptions opts;
   opts.window = 1;
+  opts.order_check = false;  // committed guesses are the engine windows'
   IncrementalChecker inc(spec, opts);
   inc.push(Action::invoke(1, kE, kEx, iv(1)));
   inc.push(Action::invoke(2, kE, kEx, iv(2)));
@@ -503,6 +521,7 @@ TEST(IncrementalViolation, UnexplainedWindowEmptiesFrontier) {
   ExchangerSpec spec(kE, kEx);
   IncrementalOptions opts;
   opts.window = 1;
+  opts.order_check = false;  // the window search is the engine's
   IncrementalChecker inc(spec, opts);
   inc.push(Action::invoke(1, kE, kEx, iv(1)));
   ASSERT_TRUE(inc.ok());
@@ -594,6 +613,7 @@ TEST(IncrementalEdgeCases, WindowSearchCapReportsExhausted) {
   IncrementalOptions opts;
   opts.window = 64;
   opts.max_visited = 1;
+  opts.order_check = false;  // the cap bounds the engine windows
   IncrementalChecker inc(spec, opts);
   inc.push(wide_overlap_history(6, false));
   inc.finish();
@@ -604,13 +624,390 @@ TEST(IncrementalEdgeCases, WindowSearchCapReportsExhausted) {
 
 TEST(IncrementalEdgeCases, TrackWitnessOffStillDecides) {
   ExchangerSpec spec(kE, kEx);
+  for (bool order_check : {true, false}) {
+    IncrementalOptions opts;
+    opts.track_witness = false;
+    opts.order_check = order_check;
+    IncrementalChecker inc(spec, opts);
+    inc.push(wide_overlap_history(5, false));
+    inc.finish();
+    EXPECT_TRUE(inc.ok());
+    EXPECT_FALSE(inc.witness().has_value());
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Order paths in streams: the online pairing monitor and the object split,
+// against the batch check and against the engine windows (order_check
+// off), which must never report a violation earlier than they do.
+
+struct StreamTally {
+  std::size_t accepts = 0;
+  std::size_t rejects = 0;
+};
+
+/// Streams `h` with order_check on and off at `window` and checks both
+/// against CalChecker: equal verdicts, valid witnesses, and a violation no
+/// later than the engine windows report it.
+void expect_stream_paths_agree(const CaSpec& spec, const History& h,
+                               std::size_t window, bool complete_pending,
+                               StreamTally& tally) {
+  const std::string where = "window=" + std::to_string(window) +
+                            " complete_pending=" +
+                            (complete_pending ? "1" : "0") + "\n" +
+                            h.to_string();
+  CalCheckOptions batch_opts;
+  batch_opts.complete_pending = complete_pending;
+  const CalCheckResult batch = CalChecker(spec, batch_opts).check(h);
   IncrementalOptions opts;
-  opts.track_witness = false;
-  IncrementalChecker inc(spec, opts);
-  inc.push(wide_overlap_history(5, false));
+  opts.window = window;
+  opts.complete_pending = complete_pending;
+  IncrementalChecker ordered(spec, opts);
+  opts.order_check = false;
+  opts.max_visited = std::size_t{1} << 20;
+  IncrementalChecker engine(spec, opts);
+  ordered.push(h);
+  ordered.finish();
+  engine.push(h);
+  engine.finish();
+  ASSERT_FALSE(engine.status().exhausted) << where;
+  EXPECT_FALSE(ordered.status().exhausted) << where;
+  ASSERT_EQ(engine.ok(), batch.ok) << where;
+  ASSERT_EQ(ordered.ok(), batch.ok)
+      << ordered.status().reason << "\n" << where;
+  (batch.ok ? tally.accepts : tally.rejects) += 1;
+  if (!batch.ok) {
+    const IncrementalStatus& o = ordered.status();
+    const IncrementalStatus& e = engine.status();
+    EXPECT_GT(o.violation_window, 0u) << where;
+    EXPECT_LE(o.violation_window, e.violation_window) << where;
+    EXPECT_LE(o.actions_consumed, e.actions_consumed) << where;
+    EXPECT_FALSE(o.reason.empty()) << where;
+    return;
+  }
+  EXPECT_EQ(ordered.status().actions_consumed, h.actions().size());
+  const std::optional<CaTrace> w = ordered.witness();
+  ASSERT_TRUE(w.has_value()) << where;
+  EXPECT_EQ(witness_fault(h, *w, spec), "") << where << w->to_string();
+}
+
+class PairingStreams : public ::testing::TestWithParam<PairingCase> {};
+
+TEST_P(PairingStreams, MonitorMatchesBatchAndEngineWindows) {
+  const PairingCase& pc = GetParam();
+  std::unique_ptr<CaSpec> spec;
+  if (pc.sync_queue) {
+    spec = std::make_unique<SyncQueueSpec>(Symbol{"Y"});
+  } else {
+    spec = std::make_unique<ExchangerSpec>(kE, pc.method);
+  }
+  std::mt19937 rng(pc.seed);
+  StreamTally tally;
+  for (int iter = 0; iter < 300; ++iter) {
+    const std::size_t threads = 2 + rng() % 4;
+    const std::size_t per_thread = 1 + rng() % 3;
+    const auto values = static_cast<std::int64_t>(1 + rng() % 4);
+    History h = pairing_run(rng, pc, threads, per_thread, values);
+    const std::size_t edits = rng() % 3;
+    for (std::size_t e = 0; e < edits; ++e) h = mutate_pairing(rng, h);
+    if (rng() % 3 == 0) h = drop_responses(h, 1 + rng() % 3);
+    if (!h.well_formed()) continue;
+    for (std::size_t window : {1, 2, 16}) {
+      for (bool cp : {true, false}) {
+        expect_stream_paths_agree(*spec, h, window, cp, tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.accepts, 0u);
+  EXPECT_GT(tally.rejects, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Specs, PairingStreams,
+    ::testing::Values(
+        PairingCase{"Exchanger", false, Symbol{"exchange"}, 20261030u},
+        PairingCase{"Rendezvous", false, Symbol{"rendezvous"}, 20261031u},
+        PairingCase{"SyncQueue", true, Symbol{}, 20261032u}),
+    [](const auto& info) { return std::string(info.param.name); });
+
+TEST(PairingStreams, OverlappingFailuresTakeNoSearch) {
+  // 64 overlapping failed exchanges: the engine windows enumerate subsets
+  // of them (exponential); the monitor decides each at its response.
+  constexpr std::size_t kWidth = 64;
+  ExchangerSpec spec(kE, kEx);
+  const History h = wide_overlap_history(kWidth, false);
+  IncrementalChecker inc(spec);
+  inc.push(h);
   inc.finish();
-  EXPECT_TRUE(inc.ok());
-  EXPECT_FALSE(inc.witness().has_value());
+  ASSERT_TRUE(inc.ok()) << inc.status().reason;
+  EXPECT_EQ(inc.status().visited_states, 0u);
+  EXPECT_EQ(inc.status().retired_ops, kWidth);
+  EXPECT_EQ(inc.status().frontier_size, 1u);
+  EXPECT_TRUE(inc.order_decided());
+  const std::optional<CaTrace> w = inc.witness();
+  ASSERT_TRUE(w.has_value());
+  EXPECT_EQ(w->size(), kWidth);
+  EXPECT_EQ(witness_fault(h, *w, spec), "");
+}
+
+TEST(PairingStreams, ViolationReportedAtTheResponse) {
+  // t1 swaps for 2 while t2 (offering 2) is open; t2 then returns
+  // (true,99): no candidate is left for t1 or t2, so the monitor fails at
+  // that response — the 4th action, in window 1 of 16.
+  ExchangerSpec spec(kE, kEx);
+  IncrementalChecker inc(spec);
+  inc.push(Action::invoke(1, kE, kEx, iv(1)));
+  inc.push(Action::invoke(2, kE, kEx, iv(2)));
+  inc.push(Action::respond(1, kE, kEx, Value::pair(true, 2)));
+  ASSERT_TRUE(inc.ok());
+  inc.push(Action::respond(2, kE, kEx, Value::pair(true, 99)));
+  ASSERT_FALSE(inc.ok());
+  EXPECT_EQ(inc.status().violation_window, 1u);
+  EXPECT_EQ(inc.status().windows_checked, 0u);
+  EXPECT_EQ(inc.status().frontier_size, 0u);
+  EXPECT_NE(inc.status().reason.find("partner"), std::string::npos)
+      << inc.status().reason;
+}
+
+TEST(PairingStreams, OwedOperationsCompeteForOneCandidate) {
+  // t1 and t2 both swapped for 3 while only t3 offers 3: one of them can
+  // never be paid, so the stream fails at t2's response, before t3
+  // responds (the engine windows reject there too).
+  ExchangerSpec spec(kE, kEx);
+  for (bool order_check : {true, false}) {
+    IncrementalOptions opts;
+    opts.window = 1;
+    opts.order_check = order_check;
+    IncrementalChecker inc(spec, opts);
+    inc.push(Action::invoke(3, kE, kEx, iv(3)));
+    inc.push(Action::invoke(1, kE, kEx, iv(1)));
+    inc.push(Action::invoke(2, kE, kEx, iv(2)));
+    inc.push(Action::respond(1, kE, kEx, Value::pair(true, 3)));
+    ASSERT_TRUE(inc.ok()) << inc.status().reason;
+    inc.push(Action::respond(2, kE, kEx, Value::pair(true, 3)));
+    EXPECT_FALSE(inc.ok()) << "order_check=" << order_check;
+    EXPECT_EQ(inc.status().violation_window, 5u);
+  }
+}
+
+TEST(PairingStreams, PendingPartnerOnlyUnderCompletion) {
+  // t1 swapped with t2, whose call never returns.
+  ExchangerSpec spec(kE, kEx);
+  const History h = HistoryBuilder()
+                        .call(1, "E", "exchange", iv(1))
+                        .call(2, "E", "exchange", iv(2))
+                        .ret(1, Value::pair(true, 2))
+                        .history();
+  for (bool cp : {true, false}) {
+    IncrementalOptions opts;
+    opts.complete_pending = cp;
+    IncrementalChecker inc(spec, opts);
+    inc.push(h);
+    inc.finish();
+    EXPECT_EQ(inc.ok(), cp) << inc.status().reason;
+    if (!cp) continue;
+    const std::optional<CaTrace> w = inc.witness();
+    ASSERT_TRUE(w.has_value());
+    ASSERT_EQ(w->size(), 1u);
+    EXPECT_EQ((*w)[0], CaElement::swap(kE, kEx, 1, 1, 2, 2));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Object split: a union stream decided object by object.
+
+const Symbol kQ{"Q"};
+
+UnionCaSpec exchanger_and_queue() {
+  return UnionCaSpec(
+      {{kE, std::make_shared<ExchangerSpec>(kE, kEx)},
+       {kQ, std::make_shared<SeqAsCaSpec>(std::make_shared<QueueSpec>(kQ))}});
+}
+
+/// A valid FIFO-queue run on Q with real overlap, tids from 101: each
+/// operation takes effect at a random micro-step between its invocation
+/// and its response, on a queue of at most `bound` values.
+History queue_run(std::mt19937& rng, std::size_t threads,
+                  std::size_t ops_per_thread, std::size_t bound) {
+  struct ThreadState {
+    std::size_t done = 0;
+    int phase = 0;  // 0 idle, 1 invoked, 2 took effect
+    bool enq = false;
+    Value ret;
+  };
+  const Symbol enq{"enq"};
+  const Symbol deq{"deq"};
+  History h;
+  std::vector<ThreadState> ts(threads);
+  std::deque<std::int64_t> queue;
+  std::int64_t next = 1;
+  for (;;) {
+    std::vector<std::size_t> runnable;
+    for (std::size_t i = 0; i < threads; ++i) {
+      if (ts[i].done < ops_per_thread || ts[i].phase != 0) {
+        runnable.push_back(i);
+      }
+    }
+    if (runnable.empty()) break;
+    const std::size_t me = runnable[rng() % runnable.size()];
+    ThreadState& t = ts[me];
+    const auto tid = static_cast<ThreadId>(101 + me);
+    if (t.phase == 0) {
+      t.enq = queue.size() < bound && rng() % 2 == 0;
+      if (t.enq) {
+        t.ret = iv(next++);  // the value, until it takes effect
+        h.invoke(tid, kQ, enq, t.ret);
+      } else {
+        h.invoke(tid, kQ, deq);
+      }
+      t.phase = 1;
+    } else if (t.phase == 1) {
+      if (t.enq) {
+        queue.push_back(t.ret.as_int());
+        t.ret = Value::boolean(true);
+      } else if (queue.empty()) {
+        t.ret = Value::pair(false, 0);
+      } else {
+        t.ret = Value::pair(true, queue.front());
+        queue.pop_front();
+      }
+      t.phase = 2;
+    } else {
+      h.respond(tid, kQ, t.enq ? enq : deq, t.ret);
+      t.phase = 0;
+      ++t.done;
+    }
+  }
+  return h;
+}
+
+/// `a` and `b` (disjoint threads) interleaved at random, each in order.
+History interleave(std::mt19937& rng, const History& a, const History& b) {
+  std::vector<Action> out;
+  std::size_t i = 0;
+  std::size_t j = 0;
+  while (i < a.size() || j < b.size()) {
+    const bool take_a = j == b.size() || (i < a.size() && rng() % 2 == 0);
+    out.push_back(take_a ? a[i++] : b[j++]);
+  }
+  return History(std::move(out));
+}
+
+TEST(UnionStreams, SplitMatchesProduct) {
+  // Exchanger + queue streams shaped like perfbench's stream-long (narrow
+  // overlap, a queue of at most four values), one in four with six
+  // exchanges open at once; some edited or cut short.
+  const UnionCaSpec spec = exchanger_and_queue();
+  const PairingCase exchanges{"Exchanger", false, kEx, 0};
+  std::mt19937 rng(20261033u);
+  StreamTally tally;
+  for (int iter = 0; iter < 150; ++iter) {
+    const bool wide = iter % 4 == 0;
+    const History x = pairing_run(rng, exchanges, wide ? 6 : 2 + rng() % 2,
+                                  wide ? 1 : 1 + rng() % 3,
+                                  static_cast<std::int64_t>(1 + rng() % 4));
+    const History q = queue_run(rng, 2 + rng() % 2, 1 + rng() % 3, 4);
+    History h = interleave(rng, x, q);
+    if (rng() % 3 == 0) h = mutate_pairing(rng, h);
+    if (rng() % 4 == 0) h = drop_responses(h, 1 + rng() % 2);
+    if (!h.well_formed()) continue;
+    for (bool cp : {true, false}) {
+      CalCheckOptions product_opts;
+      product_opts.order_check = false;
+      product_opts.complete_pending = cp;
+      product_opts.max_visited = std::size_t{1} << 20;
+      const CalCheckResult product = CalChecker(spec, product_opts).check(h);
+      ASSERT_FALSE(product.exhausted) << h.to_string();
+      CalCheckOptions split_opts;
+      split_opts.complete_pending = cp;
+      const CalCheckResult split = CalChecker(spec, split_opts).check(h);
+      ASSERT_EQ(split.ok, product.ok) << h.to_string();
+      EXPECT_EQ(split.parts.size(), 2u);
+      if (split.ok) {
+        EXPECT_EQ(witness_fault(h, *split.witness, spec), "")
+            << h.to_string() << split.witness->to_string();
+      }
+      for (std::size_t window : {1, 2, 16}) {
+        expect_stream_paths_agree(spec, h, window, cp, tally);
+      }
+    }
+  }
+  EXPECT_GT(tally.accepts, 0u);
+  EXPECT_GT(tally.rejects, 0u);
+}
+
+TEST(UnionStreams, CompletedCallOnUnregisteredObjectRejects) {
+  const UnionCaSpec spec = exchanger_and_queue();
+  const History completed =
+      HistoryBuilder()
+          .op(1, "E", "exchange", iv(1), Value::pair(false, 1))
+          .op(2, "X", "frob", iv(1), Value::boolean(true))
+          .history();
+  const History pending = HistoryBuilder()
+                              .op(1, "E", "exchange", iv(1),
+                                  Value::pair(false, 1))
+                              .call(2, "X", "frob", iv(1))
+                              .history();
+  for (bool order_check : {true, false}) {
+    CalCheckOptions batch;
+    batch.order_check = order_check;
+    EXPECT_FALSE(CalChecker(spec, batch).check(completed).ok);
+    EXPECT_TRUE(CalChecker(spec, batch).check(pending).ok);
+    IncrementalOptions opts;
+    opts.order_check = order_check;
+    IncrementalChecker bad(spec, opts);
+    bad.push(completed);
+    bad.finish();
+    EXPECT_FALSE(bad.ok()) << "order_check=" << order_check;
+    EXPECT_EQ(bad.status().violation_window, 1u);
+    IncrementalChecker good(spec, opts);
+    good.push(pending);
+    good.finish();
+    EXPECT_TRUE(good.ok()) << good.status().reason;
+  }
+}
+
+TEST(UnionStreams, CrossObjectNestedCallIsIllFormed) {
+  // Thread 1 invokes on Q while its exchange on E is still open: the
+  // well-formedness rules hold on the whole stream, not per object.
+  const UnionCaSpec spec = exchanger_and_queue();
+  for (bool order_check : {true, false}) {
+    IncrementalOptions opts;
+    opts.order_check = order_check;
+    IncrementalChecker inc(spec, opts);
+    inc.push(Action::invoke(1, kE, kEx, iv(1)));
+    inc.push(Action::invoke(1, kQ, Symbol{"enq"}, iv(5)));
+    EXPECT_FALSE(inc.ok());
+    EXPECT_NE(inc.status().reason.find("not well-formed"), std::string::npos)
+        << inc.status().reason;
+  }
+}
+
+TEST(UnionStreams, WindowsCountTheWholeStream) {
+  // The parts close their windows at the union's boundaries, so the
+  // counters read as one stream's: windows, operations and retirements.
+  const UnionCaSpec spec = exchanger_and_queue();
+  std::mt19937 rng(5);
+  const History h =
+      interleave(rng, pairing_run(rng, {"Exchanger", false, kEx, 0}, 3, 4, 3),
+                 queue_run(rng, 3, 4, 4));
+  ASSERT_TRUE(h.well_formed());
+  for (bool order_check : {true, false}) {
+    IncrementalOptions opts;
+    opts.window = 3;
+    opts.order_check = order_check;
+    IncrementalChecker inc(spec, opts);
+    inc.push(h);
+    inc.finish();
+    ASSERT_TRUE(inc.ok()) << inc.status().reason;
+    EXPECT_EQ(inc.status().windows_checked, (h.size() + 2) / 3);
+    EXPECT_EQ(inc.status().operations, h.size() / 2);
+    EXPECT_EQ(inc.status().retired_ops, h.size() / 2);
+    EXPECT_EQ(inc.order_decided(), order_check);
+    const std::optional<CaTrace> w = inc.witness();
+    ASSERT_TRUE(w.has_value());
+    EXPECT_EQ(witness_fault(h, *w, spec), "");
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -625,6 +1022,8 @@ TEST(IncrementalStreaming, FollowsRecorderCursorDuringExecution) {
   IncrementalOptions opts;
   opts.window = 8;
   IncrementalChecker inc(spec, opts);
+  opts.order_check = false;
+  IncrementalChecker engine(spec, opts);  // the engine windows, alongside
   runtime::Recorder::Cursor cursor = rec.cursor();
 
   constexpr int kThreads = 4;
@@ -648,7 +1047,10 @@ TEST(IncrementalStreaming, FollowsRecorderCursorDuringExecution) {
   // Follow the log while the run is live: consume whatever is published,
   // checking window-by-window as enough arrives.
   const auto drain = [&] {
-    return cursor.poll([&](const Action& a) { inc.push(a); });
+    return cursor.poll([&](const Action& a) {
+      inc.push(a);
+      engine.push(a);
+    });
   };
   while (running.load(std::memory_order_acquire) > 0) {
     drain();
@@ -658,6 +1060,7 @@ TEST(IncrementalStreaming, FollowsRecorderCursorDuringExecution) {
   while (drain() > 0) {
   }
   inc.finish();
+  engine.finish();
 
   const History h = rec.snapshot();
   ASSERT_TRUE(h.well_formed());
@@ -668,6 +1071,7 @@ TEST(IncrementalStreaming, FollowsRecorderCursorDuringExecution) {
   const CalCheckResult batch = CalChecker(spec).check(h);
   EXPECT_TRUE(batch.ok) << h.to_string();
   EXPECT_EQ(inc.ok(), batch.ok) << inc.status().reason;
+  EXPECT_EQ(engine.ok(), batch.ok) << engine.status().reason;
   const std::optional<CaTrace> w = inc.witness();
   ASSERT_TRUE(w.has_value());
   EXPECT_TRUE(replay_ca(*w, spec).ok);

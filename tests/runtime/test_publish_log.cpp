@@ -209,8 +209,12 @@ TEST(PublishLogStress, SnapshotDuringWritesSeesConsistentPrefix) {
   PublishLog<std::uint64_t> log(kWriters * kPerWriter);
   std::atomic<bool> done{false};
   std::atomic<std::size_t> snapshots{0};
+  // Start latch: the writers wait for the reader's first snapshot, so the
+  // reader takes at least one however the threads are scheduled (without
+  // it, writers that finish before the reader first runs leave it none).
+  std::atomic<bool> reader_started{false};
   std::thread reader([&] {
-    while (!done.load(std::memory_order_acquire)) {
+    do {
       std::size_t n = 0;
       std::uint64_t unused = 0;
       log.snapshot_prefix([&](const std::uint64_t& v) {
@@ -220,12 +224,16 @@ TEST(PublishLogStress, SnapshotDuringWritesSeesConsistentPrefix) {
       // A prefix never shrinks relative to what size() promised before.
       EXPECT_LE(n, log.size());
       snapshots.fetch_add(1, std::memory_order_relaxed);
-    }
+      reader_started.store(true, std::memory_order_release);
+    } while (!done.load(std::memory_order_acquire));
   });
   {
     std::vector<std::thread> ts;
     for (std::size_t w = 0; w < kWriters; ++w) {
       ts.emplace_back([&, w] {
+        while (!reader_started.load(std::memory_order_acquire)) {
+          std::this_thread::yield();
+        }
         for (std::size_t i = 0; i < kPerWriter; ++i) {
           log.append(static_cast<std::uint64_t>(w * kPerWriter + i));
         }

@@ -5,7 +5,9 @@
 
 #include <memory>
 
+#include "cal/agree.hpp"
 #include "cal/cal_checker.hpp"
+#include "cal/replay.hpp"
 #include "cal/specs/exchanger_spec.hpp"
 #include "cal/specs/union_spec.hpp"
 #include "sched/explorer.hpp"
@@ -69,9 +71,22 @@ TEST(MultiObject, EnumeratedHistoriesPassUnionSpec) {
   ASSERT_FALSE(r.exhausted);
   ASSERT_GT(r.histories.size(), 2u);
   CalChecker checker(*w.spec);
+  CalCheckOptions product_opts;
+  product_opts.order_check = false;
+  CalChecker product(*w.spec, product_opts);
   bool saw_both_objects_swap = false;
   for (const History& h : r.histories) {
-    EXPECT_TRUE(checker.check(h)) << h.to_string();
+    // Object by object (the default) and as the product: equal verdicts,
+    // and the split's merged witness replays and agrees.
+    const CalCheckResult split = checker.check(h);
+    EXPECT_TRUE(split) << h.to_string();
+    EXPECT_EQ(product.check(h).ok, split.ok) << h.to_string();
+    if (split.witness) {
+      EXPECT_TRUE(replay_ca(*split.witness, *w.spec).ok);
+      if (h.complete()) {
+        EXPECT_TRUE(agrees_with(h, *split.witness).agrees) << h.to_string();
+      }
+    }
     bool e1_swap = false;
     bool e2_swap = false;
     for (const OpRecord& rec : h.operations()) {

@@ -3,11 +3,15 @@
 //   cal-check --spec exchanger:E [--checker cal|set-lin] [FILE]
 //   cal-check --spec stack:S --checker lin history.txt
 //   cal-check --spec exchanger:E --jobs 8 traces/*.history
+//   cal-check --spec exchanger:E --spec queue:Q --follow < stream.history
 //
 // Reads one or more histories in the line format of cal/text.hpp (stdin
 // when no FILE is given), decides membership w.r.t. the named
 // specification, prints the verdict and (on acceptance) the witness, and
-// exits 0/1/2 for accept/reject/usage-or-parse error. With several FILEs
+// exits 0/1/2 for accept/reject/usage-or-parse error. A repeated --spec
+// names one spec per object and checks against their union (UnionCaSpec),
+// under cal and set-lin, in batch and under --follow; with the order
+// check on, each object is decided on its own path. With several FILEs
 // the verdicts are prefixed with the file name and printed in argument
 // order; --jobs N checks the files through a parallel pipeline, and the
 // exit code is the worst per-file code.
@@ -24,8 +28,9 @@
 //                     (CalCheckOptions::symmetry); verdict unchanged.
 //                     These two engine flags act only on path=engine: an
 //                     order path decides without a search and ignores
-//                     them, so pair them with --no-order-check on the
-//                     exchanger, sync-queue, stack, queue and pq specs.
+//                     them (a note on stderr says so), so pair them with
+//                     --no-order-check on the exchanger, sync-queue,
+//                     stack, queue and pq specs.
 //                     A checker that never reads a flag refuses it (exit
 //                     2): --checker lin refuses --symmetry, and --checker
 //                     set-lin, which runs no engine search, refuses
@@ -33,12 +38,14 @@
 //   --no-order-check  force the engine search even when the spec offers a
 //                     polynomial order_check decision (exchanger,
 //                     sync-queue, stack, queue, pq), for --checker cal and
-//                     lin alike. The verdict line
+//                     lin alike, and under --follow. The verdict line
 //                     always names the path that ran: `path=order` with
 //                     its value/zone/bump counters, or `path=engine` with
-//                     the search counters. --follow always streams through
-//                     the engine (the incremental checker has no order
-//                     path).
+//                     the search counters (for a union, one `OBJ: path=…`
+//                     per object). --follow decides exchanger and
+//                     sync-queue objects by the online pairing monitor and
+//                     a union object by object; with --no-order-check every
+//                     window runs the engine on the whole spec.
 //   --follow          streaming mode: consume actions line-by-line (stdin
 //                     or one FILE, e.g. a live tail) through the
 //                     incremental checker, deciding window-by-window with
@@ -83,6 +90,7 @@
 #include "cal/specs/snapshot_spec.hpp"
 #include "cal/specs/stack_spec.hpp"
 #include "cal/specs/sync_queue_spec.hpp"
+#include "cal/specs/union_spec.hpp"
 #include "cal/text.hpp"
 
 namespace {
@@ -90,7 +98,7 @@ namespace {
 using namespace cal;  // NOLINT: tool
 
 struct Options {
-  std::string spec;
+  std::vector<std::string> specs;  // one per object; several = a union
   std::string checker = "cal";
   std::vector<std::string> files;  // empty = stdin
   bool quiet = false;
@@ -105,7 +113,8 @@ struct Options {
 int usage(const char* argv0) {
   std::fprintf(
       stderr,
-      "usage: %s --spec KIND:OBJ[:METHOD] [--checker cal|lin|set-lin]\n"
+      "usage: %s --spec KIND:OBJ[:METHOD] [--spec ...]\n"
+      "          [--checker cal|lin|set-lin]\n"
       "          [--quiet] [--jobs N] [--exact-visited]\n"
       "          [--symmetry] [--no-order-check] [--follow [--window N]]\n"
       "          [FILE...]\n"
@@ -118,6 +127,7 @@ int usage(const char* argv0) {
 struct SpecBundle {
   std::shared_ptr<SequentialSpec> seq;  // set for sequential kinds
   std::shared_ptr<CaSpec> ca;           // always set
+  Symbol object;                        // one spec's object
 };
 
 std::optional<SpecBundle> make_spec(const std::string& desc) {
@@ -153,7 +163,66 @@ std::optional<SpecBundle> make_spec(const std::string& desc) {
     return std::nullopt;
   }
   if (b.seq && !b.ca) b.ca = std::make_shared<SeqAsCaSpec>(b.seq);
+  b.object = object;
   return b;
+}
+
+/// The spec of one --spec, or the union of several (no sequential face).
+std::optional<SpecBundle> make_specs(const std::vector<std::string>& descs,
+                                     std::string& bad) {
+  std::vector<UnionCaSpec::Entry> entries;
+  std::optional<SpecBundle> one;
+  for (const std::string& desc : descs) {
+    one = make_spec(desc);
+    if (!one) {
+      bad = desc;
+      return std::nullopt;
+    }
+    entries.emplace_back(one->object, one->ca);
+  }
+  if (descs.size() == 1) return one;
+  SpecBundle b;
+  b.ca = std::make_shared<UnionCaSpec>(std::move(entries));
+  return b;
+}
+
+/// The counters of the path that decided `r` (one object's, or the whole
+/// spec's).
+std::string path_stats(const CalCheckResult& r, bool symmetry) {
+  if (r.order_checked) {
+    return "path=order, " + std::to_string(r.order_values) + " values, " +
+           std::to_string(r.order_zones) + " zones, " +
+           std::to_string(r.order_bumps) + " bumps";
+  }
+  std::string stats =
+      "path=engine, " + std::to_string(r.visited_states) + " states, " +
+      std::to_string(r.visited_bytes) + " visited bytes, " +
+      std::to_string(r.step_cache_hits) + "/" +
+      std::to_string(r.step_cache_hits + r.step_cache_misses) +
+      " step-cache hits, " + std::to_string(r.pruned_subsets) +
+      " pruned subsets";
+  if (symmetry) {
+    stats += ", " + std::to_string(r.symmetry_merged) + " symmetry merges";
+  }
+  return stats;
+}
+
+/// The engine flags given (empty when none), for the note that an order
+/// path ignored them.
+std::string engine_flags(const Options& opt) {
+  if (opt.exact_visited && opt.symmetry) return "--exact-visited and --symmetry";
+  if (opt.exact_visited) return "--exact-visited";
+  return opt.symmetry ? "--symmetry" : "";
+}
+
+/// One stderr line when engine flags were given but an order path decided
+/// (`objects`: the parts it decided, empty for the whole spec).
+std::string no_effect_note(const Options& opt, const std::string& objects) {
+  const std::string flags = engine_flags(opt);
+  if (flags.empty()) return "";
+  return "note: " + flags + " had no effect" +
+         (objects.empty() ? "" : " on " + objects) +
+         ": path=order decides without a search\n";
 }
 
 /// Outcome of checking one input: the process-style exit code plus the
@@ -191,21 +260,20 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     CalChecker checker(*spec.ca, copts);
     CalCheckResult r = checker.check(history);
     std::string stats;
-    if (r.order_checked) {
-      stats = "path=order, " + std::to_string(r.order_values) + " values, " +
-              std::to_string(r.order_zones) + " zones, " +
-              std::to_string(r.order_bumps) + " bumps";
+    if (r.parts.empty()) {
+      stats = path_stats(r, opt.symmetry);
+      if (r.order_checked) o.err = no_effect_note(opt, "");
     } else {
-      stats = "path=engine, " + std::to_string(r.visited_states) +
-              " states, " + std::to_string(r.visited_bytes) +
-              " visited bytes, " + std::to_string(r.step_cache_hits) + "/" +
-              std::to_string(r.step_cache_hits + r.step_cache_misses) +
-              " step-cache hits, " + std::to_string(r.pruned_subsets) +
-              " pruned subsets";
-      if (opt.symmetry) {
-        stats +=
-            ", " + std::to_string(r.symmetry_merged) + " symmetry merges";
+      std::string ordered;
+      for (const CalCheckPart& part : r.parts) {
+        if (!stats.empty()) stats += "; ";
+        stats += part.object.str() + ": " +
+                 path_stats(part.result, opt.symmetry);
+        if (part.result.order_checked) {
+          ordered += (ordered.empty() ? "" : ", ") + part.object.str();
+        }
       }
+      if (!ordered.empty()) o.err = no_effect_note(opt, ordered);
     }
     if (r.ok) {
       if (!opt.quiet) {
@@ -245,6 +313,7 @@ CheckOutcome check_text(const Options& opt, const SpecBundle& spec,
     lopts.order_check = opt.order_check;
     LinChecker checker(*spec.seq, lopts);
     LinCheckResult r = checker.check(history);
+    if (r.order_checked) o.err = no_effect_note(opt, "");
     const std::string stats =
         r.order_checked
             ? std::string("path=order")
@@ -282,7 +351,11 @@ int run_follow(const Options& opt, const SpecBundle& spec, std::istream& in) {
   engine::IncrementalOptions iopts;
   iopts.window = opt.window;
   iopts.exact_visited = opt.exact_visited;
+  iopts.order_check = opt.order_check;
   engine::IncrementalChecker checker(*spec.ca, iopts);
+  if (checker.order_decided()) {
+    std::fputs(no_effect_note(opt, "the paired objects").c_str(), stderr);
+  }
 
   History consumed;
   std::string raw;
@@ -418,7 +491,7 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--spec" && i + 1 < argc) {
-      opt.spec = argv[++i];
+      opt.specs.emplace_back(argv[++i]);
     } else if (arg == "--checker" && i + 1 < argc) {
       opt.checker = argv[++i];
     } else if (arg == "--quiet") {
@@ -450,19 +523,26 @@ int main(int argc, char** argv) {
                  bad_count_flag.c_str());
     return usage(argv[0]);
   }
-  if (opt.spec.empty()) return usage(argv[0]);
+  if (opt.specs.empty()) return usage(argv[0]);
 
-  const auto spec = make_spec(opt.spec);
+  std::string bad_spec;
+  const auto spec = make_specs(opt.specs, bad_spec);
   if (!spec) {
-    std::fprintf(stderr, "bad --spec '%s'\n", opt.spec.c_str());
+    std::fprintf(stderr, "bad --spec '%s'\n", bad_spec.c_str());
     return usage(argv[0]);
+  }
+  if (opt.checker == "lin" && opt.specs.size() > 1) {
+    std::fprintf(stderr,
+                 "--checker lin takes one sequential spec; a repeated "
+                 "--spec builds a CA-spec union (use cal or set-lin)\n");
+    return 2;
   }
   if (opt.checker == "lin" && !spec->seq) {
     std::fprintf(stderr,
                  "--checker lin needs a sequential spec; '%s' is a "
                  "CA-spec (that impossibility is the point of the paper — "
                  "use cal or set-lin)\n",
-                 opt.spec.c_str());
+                 opt.specs.front().c_str());
     return 2;
   }
   // Refuse engine flags the chosen checker never reads instead of
